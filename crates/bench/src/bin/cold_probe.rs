@@ -1,5 +1,6 @@
-//! Cold-batch regression probe: the `e19_engine_cold` measurement as a
-//! plain binary, for CI gating and experiment records.
+//! Cold-batch regression probe: the `e19_engine_cold` measurement (recorded
+//! in BENCH_e19.json) as a plain binary, for CI gating and experiment
+//! records.
 //!
 //! Each sample constructs a fresh [`Engine`] (empty caches, empty context
 //! pool) and checks the full paper corpus through it — fingerprinting,
@@ -12,9 +13,6 @@
 //! Flags:
 //! * `--samples N` — timed samples after one warmup (default 10)
 //! * `--threshold-ms X` — fail (exit 1) if the median exceeds X
-//! * `--all-eager` — disable the declared pattern policies, forcing every
-//!   background axiom into pre-saturation (the pre-gating schedule); used
-//!   to measure what the goal-directed phase is worth
 //! * `--invariant-corpus` — swap the unit set for the generated
 //!   invariant + read-effect populations (10 seeds each), so the
 //!   invariant-preserved and read-license obligation kinds get their own
@@ -22,7 +20,6 @@
 
 use std::time::Instant;
 
-use datagroups::CheckOptions;
 use oolong_corpus::paper;
 use oolong_engine::{BatchUnit, Engine, EngineOptions};
 
@@ -66,23 +63,15 @@ fn main() {
         .unwrap_or(10);
     let threshold_ms: Option<f64> =
         arg_value(&args, "--threshold-ms").map(|v| v.parse().expect("--threshold-ms takes ms"));
-    let pattern_policies = !args.iter().any(|a| a == "--all-eager");
     let invariant_corpus = args.iter().any(|a| a == "--invariant-corpus");
 
-    let options = EngineOptions {
-        check: CheckOptions {
-            pattern_policies,
-            ..CheckOptions::default()
-        },
-        ..EngineOptions::default()
-    };
     let units = if invariant_corpus {
         invariant_units()
     } else {
         corpus_units()
     };
     let run = || {
-        let engine = Engine::new(options.clone()).expect("in-memory engine");
+        let engine = Engine::new(EngineOptions::default()).expect("in-memory engine");
         engine.check_batch(&units)
     };
 
@@ -113,8 +102,7 @@ fn main() {
     };
     let rendered: Vec<String> = times_ms.iter().map(|t| format!("{t:.1}")).collect();
     println!(
-        "{{\"probe\":\"{probe}\",\"pattern_policies\":{pattern_policies},\
-         \"verified\":{},\"refuted\":{},\"unknown\":{},\"samples\":{samples},\
+        "{{\"probe\":\"{probe}\",\"verified\":{},\"refuted\":{},\"unknown\":{},\"samples\":{samples},\
          \"samples_ms\":[{}],\"median_ms\":{median:.1},\"threshold_ms\":{},\"pass\":{}}}",
         expected.0,
         expected.1,

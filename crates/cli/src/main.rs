@@ -34,11 +34,10 @@
 //! its scheduling phase, and where its instantiations landed (background
 //! pre-saturation vs obligation frames) across the program's proofs.
 
-use datagroups::{overhead, prover_metrics, BackgroundSlice, CheckOptions, Checker};
+use datagroups::{overhead, prover_metrics, CheckOptions, Checker};
 use oolong_diagnose::{diagnose_refutation, diagnose_restriction, Diagnosis, Replay};
 use oolong_engine::{diagnosis_to_json, label_to_json, BatchUnit, Engine, EngineOptions, Json};
 use oolong_interp::{ExecConfig, Interp, RngOracle, RunOutcome};
-use oolong_prover::SearchStrategy;
 use oolong_sema::Scope;
 use oolong_serve::{Client, ServeOptions, Server};
 use oolong_syntax::parse_program;
@@ -62,30 +61,25 @@ fn usage() -> String {
     "usage:
   oolong check   <file|corpus:NAME> [--modular] [--naive] [--null-checks] [--explain]
                  [--explain-unknown] [--json] [--max-instances N] [--max-gen N]
-                 [--clone-search] [--no-share-contexts] [--no-slice-axioms]
-                 [--no-pattern-policies]
   oolong explain <file|corpus:NAME> [--proc NAME] [--cache-dir DIR] [--json]
                  [--naive] [--null-checks] [--max-instances N] [--max-gen N]
-                 [--clone-search]
   oolong infer   <file|corpus:NAME|stripped:NAME|unannotated:SEED> [--proc NAME]
                  [--reads] [--apply] [--json] [--max-rounds N] [--cache-dir DIR] [--no-cache]
                  [--naive] [--null-checks] [--max-instances N] [--max-gen N]
   oolong batch   <files|corpus:NAMEs...> [--cache-dir DIR] [--no-cache] [--workers N]
                  [--events PATH] [--json] [--naive] [--null-checks]
-                 [--max-instances N] [--max-gen N] [--clone-search]
-                 [--no-share-contexts] [--no-slice-axioms] [--no-pattern-policies]
+                 [--max-instances N] [--max-gen N]
   oolong recheck [--cache-dir DIR] [--events PATH] [--json]
   oolong serve   --socket PATH [--cache-dir DIR] [--no-cache] [--workers N] [--queue N]
                  [--mem-cap N] [--events PATH] [--json-log] [--quiet] [--naive]
-                 [--null-checks] [--max-instances N] [--max-gen N] [--clone-search]
+                 [--null-checks] [--max-instances N] [--max-gen N]
   oolong client  <request.json> | --eval '<json>' [--socket PATH]
   oolong run     <file|corpus:NAME> --proc NAME [--seeds N] [--owner-exclusion]
   oolong vc      <file|corpus:NAME> [--proc NAME]
   oolong stats   <file|corpus:NAME> [--json] [--naive] [--null-checks]
-                 [--max-instances N] [--max-gen N] [--no-share-contexts]
-                 [--no-slice-axioms] [--no-pattern-policies]
+                 [--max-instances N] [--max-gen N]
   oolong axioms  <file|corpus:NAME> [--json] [--naive] [--null-checks]
-                 [--max-instances N] [--max-gen N] [--no-pattern-policies]
+                 [--max-instances N] [--max-gen N]
   oolong corpus
   oolong experiments"
         .to_string()
@@ -194,18 +188,6 @@ fn check_options(args: &[String]) -> Result<CheckOptions, String> {
     }
     if let Some(n) = opt_value(args, "--max-gen") {
         options.budget.max_term_gen = n.parse().map_err(|_| "bad --max-gen")?;
-    }
-    if flag(args, "--clone-search") {
-        options.strategy = SearchStrategy::CloneSearch;
-    }
-    if flag(args, "--no-share-contexts") {
-        options.share_contexts = false;
-    }
-    if flag(args, "--no-slice-axioms") {
-        options.slice_axioms = false;
-    }
-    if flag(args, "--no-pattern-policies") {
-        options.pattern_policies = false;
     }
     Ok(options)
 }
@@ -989,10 +971,6 @@ fn prover_metrics_json(metrics: &datagroups::ProverMetrics) -> Json {
             Json::Int(metrics.trail_depth_max as i64),
         ),
         (
-            "sliced_axioms".to_string(),
-            Json::Int(metrics.sliced_axioms as i64),
-        ),
-        (
             "by_kind".to_string(),
             Json::Object(
                 metrics
@@ -1047,8 +1025,8 @@ fn prover_metrics_json(metrics: &datagroups::ProverMetrics) -> Json {
 
 /// `oolong axioms` — the declared pattern-policy table of a program's
 /// scope background, joined with where each axiom's instantiations landed
-/// (pre-saturation vs obligation frames) when every implementation is
-/// proved against the full (unsliced) background.
+/// (pre-saturation vs obligation frames) across every implementation's
+/// proof.
 fn cmd_axioms(args: &[String]) -> Result<ExitCode, String> {
     let source = load_source(positional(args)?)?;
     let program = parse_program(&source).map_err(|e| e.render(&source))?;
@@ -1056,19 +1034,15 @@ fn cmd_axioms(args: &[String]) -> Result<ExitCode, String> {
     let policies = checker.background_policies();
     let phases = checker.background_phases();
 
-    // Per-axiom telemetry, summed over every obligation. Each VC is proved
-    // against the full background so the per-quantifier rows line up with
-    // the policy table by index — the slicer would renumber them.
+    // Per-axiom telemetry, summed over every obligation. Each VC's
+    // background is index-aligned with the policy table.
     let n = policies.len();
     let (mut presat, mut goal, mut matches) = (vec![0i64; n], vec![0i64; n], vec![0i64; n]);
     let impl_ids: Vec<_> = checker.scope().impls().map(|(id, _)| id).collect();
     for id in impl_ids {
         let Ok(vc) = checker.vc(id) else { continue };
-        let full = BackgroundSlice {
-            keep: vec![true; vc.background_hyps],
-        };
-        let mut ctx = checker.context_for_slice(&vc, &full);
-        let verdict = checker.verdict_for_vc_in(&mut ctx, &vc, 0);
+        let mut ctx = checker.context_for(&vc);
+        let verdict = checker.verdict_for_vc_in(&mut ctx, &vc);
         let Some(stats) = verdict.stats() else {
             continue;
         };

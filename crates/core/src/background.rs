@@ -67,8 +67,8 @@ pub fn universal_background(
 }
 
 /// [`universal_background`] with a stable name attached to every axiom, so
-/// slicing decisions, telemetry, and the slicing-soundness witness corpus
-/// can refer to axioms by name instead of by position.
+/// telemetry and the axiom-witness corpus can refer to axioms by name
+/// instead of by position.
 pub fn universal_background_named(
     alias_restrictions: bool,
     arrays: bool,

@@ -3,7 +3,6 @@
 //! theorem prover.
 
 use crate::restrict::check_pivot_uniqueness;
-use crate::slice::{slice_background, BackgroundSlice};
 use crate::vcgen::{ObligationKind, ObligationLabel, Vc, VcGen, VcOptions};
 use oolong_logic::{Formula, PatternPolicy, Phase};
 use oolong_prover::{Budget, CandidateModel, Outcome, ScopeContext, SearchStrategy, Stats};
@@ -12,7 +11,7 @@ use oolong_syntax::{Diagnostic, Diagnostics, Program};
 use std::fmt;
 
 /// Configuration for a [`Checker`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CheckOptions {
     /// Prover resource limits.
     pub budget: Budget,
@@ -28,46 +27,10 @@ pub struct CheckOptions {
     /// array features (for linking against arrays-level modules).
     pub force_arrays_level: bool,
     /// How the prover backtracks out of case splits. The default
-    /// ([`SearchStrategy::Trail`], unless overridden by the
-    /// `OOLONG_PROVER_CLONE_SEARCH` environment variable) is right for
-    /// everything except differential testing and benchmarking of the
-    /// backtracking mechanism itself.
+    /// ([`SearchStrategy::Trail`]) is right for everything except
+    /// differential testing and benchmarking of the backtracking mechanism
+    /// itself, which select [`SearchStrategy::CloneSearch`] here.
     pub strategy: SearchStrategy,
-    /// Build one prover context per scope-background group and prove each
-    /// obligation inside a trail frame of it, instead of rebuilding and
-    /// re-saturating the background for every obligation. Outcomes and
-    /// statistics are identical either way (the differential harness
-    /// checks this); off is useful only for differential testing and as
-    /// the benchmark baseline.
-    pub share_contexts: bool,
-    /// Slice away background axioms whose declared triggers can never
-    /// match the obligation's reachable vocabulary (see [`crate::slice`]).
-    /// Sound by construction — a sliced axiom has zero E-matches — so off
-    /// is again only for differential testing and benchmarking.
-    pub slice_axioms: bool,
-    /// Honor the background axioms' declared activation policies
-    /// ([`oolong_logic::PatternPolicy`]): goal-directed axioms arm only
-    /// inside each obligation's frame instead of participating in the
-    /// shared context's pre-saturation. The phase is scheduling metadata,
-    /// not logic — verdicts and labels are unchanged (the differential
-    /// harness checks this across the policy dimension) — so off is only
-    /// for differential testing and benchmarking the E19 regression.
-    pub pattern_policies: bool,
-}
-
-impl Default for CheckOptions {
-    fn default() -> Self {
-        CheckOptions {
-            budget: Budget::default(),
-            naive: false,
-            null_checks: false,
-            force_arrays_level: false,
-            strategy: SearchStrategy::from_env(),
-            share_contexts: true,
-            slice_axioms: true,
-            pattern_policies: true,
-        }
-    }
 }
 
 /// Everything the prover reports about a rejected verification condition:
@@ -359,105 +322,63 @@ impl Checker {
         )
     }
 
-    /// The effective scheduling phase of every scope-background axiom,
-    /// index-aligned with the VC's background hypotheses. All-`Eager` when
-    /// [`CheckOptions::pattern_policies`] is off — that cell of the
-    /// differential matrix reproduces the PR-7 goalless saturation
-    /// schedule.
+    /// The declared scheduling phase of every scope-background axiom,
+    /// index-aligned with the VC's background hypotheses.
     pub fn background_phases(&self) -> Vec<Phase> {
-        let policies = self.background_policies();
-        if self.options.pattern_policies {
-            policies.into_iter().map(|(_, _, p)| p.phase).collect()
-        } else {
-            vec![Phase::Eager; policies.len()]
-        }
-    }
-
-    /// The axiom-relevance slice of a VC's scope background: which of the
-    /// leading `background_hyps` hypotheses to keep. All-true when slicing
-    /// is disabled.
-    pub fn background_slice(&self, vc: &Vc) -> BackgroundSlice {
-        let background = &vc.hypotheses[..vc.background_hyps];
-        if self.options.slice_axioms {
-            let seeds = vc.hypotheses[vc.background_hyps..]
-                .iter()
-                .chain(std::iter::once(&vc.goal));
-            slice_background(background, seeds)
-        } else {
-            BackgroundSlice {
-                keep: vec![true; background.len()],
-            }
-        }
-    }
-
-    /// The kept background formulas of `vc` under `slice`, in order.
-    pub fn sliced_background(&self, vc: &Vc, slice: &BackgroundSlice) -> Vec<Formula> {
-        vc.hypotheses[..vc.background_hyps]
-            .iter()
-            .zip(&slice.keep)
-            .filter(|(_, &k)| k)
-            .map(|(f, _)| f.clone())
-            .collect()
-    }
-
-    /// The kept axioms' scheduling phases under `slice`, index-aligned
-    /// with [`Checker::sliced_background`].
-    pub fn sliced_phases(&self, slice: &BackgroundSlice) -> Vec<Phase> {
-        self.background_phases()
+        self.background_policies()
             .into_iter()
-            .zip(&slice.keep)
-            .filter(|(_, &k)| k)
-            .map(|(p, _)| p)
+            .map(|(_, _, p)| p.phase)
             .collect()
     }
 
-    /// Builds a prover context holding a VC's (sliced) scope background,
-    /// saturated once and reusable across every obligation whose slice is
-    /// the same. Pre-saturation fires only the `Eager` axioms; the
-    /// goal-directed ones arm per obligation inside its frame.
-    pub fn context_for_slice(&self, vc: &Vc, slice: &BackgroundSlice) -> ScopeContext {
+    /// Builds a prover context holding a VC's full scope background,
+    /// saturated once and reusable across every obligation of this checker
+    /// (all its VCs carry the same background). Pre-saturation fires only
+    /// the `Eager` axioms; the goal-directed ones arm per obligation inside
+    /// its frame.
+    pub fn context_for(&self, vc: &Vc) -> ScopeContext {
         ScopeContext::new_with_phases(
-            &self.sliced_background(vc, slice),
-            &self.sliced_phases(slice),
+            &vc.hypotheses[..vc.background_hyps],
+            &self.background_phases(),
             &self.options.budget,
             self.options.strategy,
         )
     }
 
     /// Proves a verification condition inside `ctx` — which must hold the
-    /// VC's sliced scope background — and maps the proof outcome to a
-    /// [`Verdict`]. `dropped` is the number of sliced-away axioms, recorded
-    /// in the verdict's statistics.
-    pub fn verdict_for_vc_in(&self, ctx: &mut ScopeContext, vc: &Vc, dropped: usize) -> Verdict {
+    /// VC's scope background — and maps the proof outcome to a
+    /// [`Verdict`].
+    pub fn verdict_for_vc_in(&self, ctx: &mut ScopeContext, vc: &Vc) -> Verdict {
         let init = &vc.hypotheses[vc.background_hyps..];
         let proof = ctx.prove(init, &vc.goal);
-        let mut stats = proof.stats;
-        stats.sliced_axioms = dropped;
         match proof.outcome {
-            Outcome::Proved => Verdict::Verified(stats),
+            Outcome::Proved => Verdict::Verified(proof.stats),
             Outcome::NotProved => Verdict::NotVerified(
-                stats,
+                proof.stats,
                 Box::new(Refutation::from_proof(proof.open_branch, proof.model, vc)),
             ),
-            Outcome::Unknown(_) => Verdict::Unknown(stats),
+            Outcome::Unknown(_) => Verdict::Unknown(proof.stats),
         }
     }
 
     /// Proves an already-generated verification condition and maps the
     /// proof outcome to a [`Verdict`].
     ///
-    /// Builds a one-shot scope context: the same code path as shared
-    /// checking, so outcomes and statistics agree exactly with
-    /// [`Checker::check_all`] whatever the sharing mode.
+    /// Builds a one-shot scope context: the same code path as
+    /// [`Checker::check_all`], so outcomes and statistics agree exactly.
     pub fn verdict_for_vc(&self, vc: &Vc) -> Verdict {
-        let slice = self.background_slice(vc);
-        let mut ctx = self.context_for_slice(vc, &slice);
-        self.verdict_for_vc_in(&mut ctx, vc, slice.dropped())
+        self.verdict_for_vc_in(&mut self.context_for(vc), vc)
     }
 
     /// Checks a single implementation: pivot uniqueness first (unless
     /// naive), then the verification condition.
     pub fn check_impl(&self, impl_id: ImplId) -> ImplReport {
+        self.check_impl_in(&mut None, impl_id)
+    }
+
+    /// [`Checker::check_impl`], proving inside `ctx`: built from this
+    /// implementation's VC when still empty, reused as it is otherwise.
+    fn check_impl_in(&self, ctx: &mut Option<ScopeContext>, impl_id: ImplId) -> ImplReport {
         let proc_name = self
             .scope
             .proc_info(self.scope.impl_info(impl_id).proc)
@@ -483,11 +404,12 @@ impl Checker {
                 }
             }
         };
+        let ctx = ctx.get_or_insert_with(|| self.context_for(&vc));
         ImplReport {
             impl_id,
             proc_name,
             kind_counts: vc.kind_counts(),
-            verdict: self.verdict_for_vc(&vc),
+            verdict: self.verdict_for_vc_in(ctx, &vc),
         }
     }
 
@@ -509,132 +431,43 @@ impl Checker {
     /// The report lists implementations in declaration order regardless of
     /// thread interleaving.
     ///
-    /// With [`CheckOptions::share_contexts`] on, obligations whose sliced
-    /// background agrees are grouped, each group saturates its scope
-    /// context once, and every member proves inside a trail frame of it.
-    /// Groups — not individual obligations — are the unit of work
-    /// distribution, so a context is only ever touched by one thread.
+    /// Workers claim implementations one at a time. Each worker builds one
+    /// scope context, lazily from the first VC it proves, and proves every
+    /// later claim inside a trail frame of it, so a context is only ever
+    /// touched by one thread. Reuse is invisible — a proof in a context
+    /// that served other obligations reports the verdict and statistics of
+    /// a fresh one — so the report does not depend on `workers`.
     pub fn check_all_with_workers(&self, workers: usize) -> Report {
+        use std::sync::atomic::{AtomicUsize, Ordering};
         let ids: Vec<ImplId> = self.scope.impls().map(|(id, _)| id).collect();
-        let mut slots: Vec<Option<ImplReport>> = ids.iter().map(|_| None).collect();
-
-        // Phase 1 (cheap, sequential): restriction checks and VC
-        // generation. Early verdicts fill their slot; the rest become
-        // prover work items carrying their background slice.
-        struct Todo {
-            slot: usize,
-            impl_id: ImplId,
-            proc_name: String,
-            vc: Vc,
-            slice: BackgroundSlice,
-        }
-        let mut todos: Vec<Todo> = Vec::new();
-        for (i, &impl_id) in ids.iter().enumerate() {
-            let proc_name = self
-                .scope
-                .proc_info(self.scope.impl_info(impl_id).proc)
-                .name
-                .clone();
-            let violations = self.restriction_violations(impl_id);
-            if !violations.is_empty() {
-                slots[i] = Some(ImplReport {
-                    impl_id,
-                    proc_name,
-                    verdict: Verdict::RestrictionViolation(violations),
-                    kind_counts: Vec::new(),
-                });
-                continue;
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut ctx = None;
+            let mut done = Vec::new();
+            loop {
+                let slot = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&impl_id) = ids.get(slot) else {
+                    return done;
+                };
+                done.push((slot, self.check_impl_in(&mut ctx, impl_id)));
             }
-            match self.vc(impl_id) {
-                Err(d) => {
-                    slots[i] = Some(ImplReport {
-                        impl_id,
-                        proc_name,
-                        verdict: Verdict::TranslationError(d),
-                        kind_counts: Vec::new(),
-                    });
-                }
-                Ok(vc) => {
-                    let slice = self.background_slice(&vc);
-                    todos.push(Todo {
-                        slot: i,
-                        impl_id,
-                        proc_name,
-                        vc,
-                        slice,
-                    });
-                }
-            }
-        }
-
-        // Phase 2: group work items by slice keep-mask. Within one checker
-        // the unsliced background list is structurally identical across
-        // implementations (the fresh-name generator restarts per VC), so
-        // equal masks mean equal sliced backgrounds.
-        let groups: Vec<Vec<usize>> = if self.options.share_contexts {
-            let mut keys: Vec<&[bool]> = Vec::new();
-            let mut groups: Vec<Vec<usize>> = Vec::new();
-            for (t, todo) in todos.iter().enumerate() {
-                match keys.iter().position(|k| *k == todo.slice.keep.as_slice()) {
-                    Some(g) => groups[g].push(t),
-                    None => {
-                        keys.push(&todo.slice.keep);
-                        groups.push(vec![t]);
-                    }
-                }
-            }
-            groups
-        } else {
-            (0..todos.len()).map(|t| vec![t]).collect()
         };
-
-        let prove_group = |members: &[usize]| -> Vec<(usize, ImplReport)> {
-            let first = &todos[members[0]];
-            let mut ctx = self.context_for_slice(&first.vc, &first.slice);
-            members
-                .iter()
-                .map(|&t| {
-                    let todo = &todos[t];
-                    let verdict = self.verdict_for_vc_in(&mut ctx, &todo.vc, todo.slice.dropped());
-                    (
-                        todo.slot,
-                        ImplReport {
-                            impl_id: todo.impl_id,
-                            proc_name: todo.proc_name.clone(),
-                            kind_counts: todo.vc.kind_counts(),
-                            verdict,
-                        },
-                    )
-                })
-                .collect()
-        };
-
-        if workers <= 1 || groups.len() <= 1 {
-            for members in &groups {
-                for (slot, report) in prove_group(members) {
-                    slots[slot] = Some(report);
-                }
-            }
+        let done: Vec<(usize, ImplReport)> = if workers <= 1 || ids.len() <= 1 {
+            work()
         } else {
-            use std::sync::atomic::{AtomicUsize, Ordering};
-            use std::sync::Mutex;
-            let next = AtomicUsize::new(0);
-            let out: Mutex<Vec<(usize, ImplReport)>> = Mutex::new(Vec::new());
             std::thread::scope(|scope| {
-                for _ in 0..workers.min(groups.len()) {
-                    scope.spawn(|| loop {
-                        let g = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(members) = groups.get(g) else { break };
-                        let reports = prove_group(members);
-                        out.lock()
-                            .expect("no panics while holding result lock")
-                            .extend(reports);
-                    });
-                }
-            });
-            for (slot, report) in out.into_inner().expect("worker panicked") {
-                slots[slot] = Some(report);
-            }
+                let handles: Vec<_> = (0..workers.min(ids.len()))
+                    .map(|_| scope.spawn(work))
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("checker worker panicked"))
+                    .collect()
+            })
+        };
+        let mut slots: Vec<Option<ImplReport>> = vec![None; ids.len()];
+        for (slot, report) in done {
+            slots[slot] = Some(report);
         }
         Report {
             impls: slots

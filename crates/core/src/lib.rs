@@ -41,7 +41,6 @@ pub mod checker;
 pub mod effects;
 pub mod metrics;
 pub mod restrict;
-pub mod slice;
 pub mod translate;
 pub mod vcgen;
 
@@ -51,5 +50,4 @@ pub use checker::{
 pub use effects::{ModEntry, ModList};
 pub use metrics::{overhead, prover_metrics, HotAxiom, OverheadReport, ProverMetrics};
 pub use restrict::check_pivot_uniqueness;
-pub use slice::{is_sliceable, slice_background, BackgroundSlice};
 pub use vcgen::{ObligationKind, ObligationLabel, Vc, VcGen, VcOptions};

@@ -131,9 +131,6 @@ pub struct ProverMetrics {
     pub undone_merges: u64,
     /// Deepest undo trail across all obligations (trail mode).
     pub trail_depth_max: u64,
-    /// Total background axioms sliced away by relevance slicing, summed
-    /// across obligations.
-    pub sliced_axioms: u64,
     /// Instantiations per axiom kind, in a fixed order
     /// (rep-inclusion, inclusion, store, other).
     pub by_kind: Vec<(QuantKind, u64)>,
@@ -171,11 +168,6 @@ impl fmt::Display for ProverMetrics {
             f,
             "backtracking: {} pops, {} undone merges, trail depth {}",
             self.pops, self.undone_merges, self.trail_depth_max
-        )?;
-        writeln!(
-            f,
-            "axiom slicing: {} axioms sliced away",
-            self.sliced_axioms
         )?;
         writeln!(f, "instantiations by axiom kind:")?;
         for (kind, instances) in &self.by_kind {
@@ -228,7 +220,6 @@ pub fn prover_metrics(report: &Report) -> ProverMetrics {
         metrics.pops += s.pops;
         metrics.undone_merges += s.undone_merges;
         metrics.trail_depth_max = metrics.trail_depth_max.max(s.trail_depth_max as u64);
-        metrics.sliced_axioms += s.sliced_axioms as u64;
         for q in &s.per_quant {
             let slot = kind_totals
                 .iter_mut()

@@ -47,7 +47,9 @@ use std::sync::Mutex;
 /// `invariant-preserved` and `reads-violation` obligation kinds, and
 /// label ids were renumbered (exit obligations allocate first), so a v5
 /// attribution would blame the wrong conjunct. Same migration by miss.
-pub const CACHE_FORMAT_VERSION: u64 = 6;
+/// Version 7 drops `sliced_axioms` from the stats record along with axiom
+/// slicing (`FINGERPRINT_VERSION` 7). Same migration by miss.
+pub const CACHE_FORMAT_VERSION: u64 = 7;
 
 /// Full JSON form of prover stats: the scalar counters plus the
 /// structured members ([`Stats::exhausted`], [`Stats::per_quant`]), so a
@@ -501,36 +503,65 @@ mod tests {
 
     #[test]
     fn outdated_entries_miss_without_corruption() {
-        // A v5 store must degrade to cold misses under a v6 build: the old
-        // entry files are neither loaded nor rewritten, and fresh v6
-        // entries land alongside them.
-        let dir = std::env::temp_dir().join(format!("oolong-cache-v5-{}", std::process::id()));
+        // A store written by the previous format must degrade to cold
+        // misses under this build: the old entry files are neither loaded
+        // nor rewritten, and fresh entries land alongside them.
+        let old_version = CACHE_FORMAT_VERSION - 1;
+        let dir = std::env::temp_dir().join(format!(
+            "oolong-cache-v{old_version}-{}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("creates dir");
+        let stale = |fp: Fingerprint| {
+            let mut value = sample_entry().to_json(fp);
+            if let Json::Object(members) = &mut value {
+                assert_eq!(members[0].0, "version");
+                members[0].1 = Json::Int(old_version as i64);
+            }
+            value.render()
+        };
         let old_fp = Fingerprint(0x0123_4567_89ab_cdef_0123_4567_89ab_cdef);
-        let mut value = sample_entry().to_json(old_fp);
-        if let Json::Object(members) = &mut value {
-            assert_eq!(members[0].0, "version");
-            members[0].1 = Json::Int(5);
-        }
         let old_path = dir.join(format!("{old_fp}.json"));
-        let old_bytes = value.render();
-        std::fs::write(&old_path, &old_bytes).expect("writes v5 entry");
+        let old_bytes = stale(old_fp);
+        std::fs::write(&old_path, &old_bytes).expect("writes old entry");
 
         let cache = VerdictCache::at_dir(&dir).expect("loads");
-        assert!(cache.is_empty(), "v5 entries must not be loaded");
+        assert!(cache.is_empty(), "old-format entries must not be loaded");
         assert_eq!(cache.get(old_fp), None);
 
         let new_fp = Fingerprint(99);
         cache.insert(new_fp, sample_entry());
         assert_eq!(
-            std::fs::read_to_string(&old_path).expect("v5 file still present"),
+            std::fs::read_to_string(&old_path).expect("old file still present"),
             old_bytes,
-            "migration is by miss: the v5 file must not be rewritten"
+            "migration is by miss: the old file must not be rewritten"
         );
         let reloaded = VerdictCache::at_dir(&dir).expect("reloads");
         assert_eq!(reloaded.len(), 1);
         assert_eq!(reloaded.get(new_fp), Some(sample_entry()));
+
+        // Through the engine, even an old entry filed under the exact
+        // address this build computes is re-proved, never served: its
+        // stats record predates this build's.
+        use crate::engine::{Engine, EngineOptions};
+        let src = "group value
+             field num in value
+             proc bump(r) modifies r.value
+             impl bump(r) { r.num := 3 }";
+        let fresh = Engine::new(EngineOptions::default()).expect("in-memory engine");
+        let fp = fresh.check_source("unit", src).obligations[0]
+            .fingerprint
+            .expect("proved obligations are fingerprinted");
+        std::fs::write(dir.join(format!("{fp}.json")), stale(fp)).expect("writes old entry");
+        let engine = Engine::new(EngineOptions {
+            cache_dir: Some(dir.clone()),
+            ..EngineOptions::default()
+        })
+        .expect("disk engine");
+        let report = engine.check_source("unit", src);
+        assert_eq!((report.cache_hits, report.prover_calls), (0, 1));
+        assert!(report.all_verified(), "the stale refutation was not served");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

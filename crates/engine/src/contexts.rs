@@ -1,16 +1,16 @@
 //! A pool of warm scope contexts, shared across engines.
 //!
-//! Building a [`ScopeContext`] asserts and saturates a scope's (sliced)
-//! background axioms — by far the most expensive fixed cost of an
-//! obligation. Within one `Checker::check_all` run that cost is amortized
-//! by slice-grouping; this pool amortizes it across *runs*: a resident
+//! Building a [`ScopeContext`] asserts and saturates a scope's background
+//! axioms — by far the most expensive fixed cost of an obligation. Within
+//! one `Checker::check_all` run that cost is amortized by each worker
+//! reusing its context; this pool amortizes it across *runs*: a resident
 //! process (`oolong serve`) keeps contexts warm between requests, so a
 //! re-verification of an edited implementation pays only for its own
 //! trail frame, not for background saturation.
 //!
 //! Keys are stable 128-bit hashes over everything a context's behaviour
-//! depends on: the sliced background formula list (in order), the prover
-//! budget, and the search strategy. Entries are `Arc<Mutex<…>>` slots, so
+//! depends on: the background formula list (in order), the activation
+//! phases, the prover budget, and the search strategy. Entries are `Arc<Mutex<…>>` slots, so
 //! a context is only ever driven by one thread at a time while the pool
 //! itself stays contention-free; eviction (LRU, bounded capacity) merely
 //! drops the pool's reference — a checked-out context survives until its
@@ -26,11 +26,11 @@ use std::sync::{Arc, Mutex};
 /// Default number of warm contexts a pool retains.
 pub const DEFAULT_CONTEXT_CAPACITY: usize = 64;
 
-/// The stable identity of a scope context: sliced background + activation
+/// The stable identity of a scope context: background + activation
 /// phases + budget + strategy. Two obligations with equal keys can share a
 /// context. The phase list is part of the identity because it determines
-/// what the context pre-saturated: a policy-gated context and an all-eager
-/// context over the same background hold different E-graphs.
+/// what the context pre-saturated: the same formulas under different
+/// phases hold different E-graphs.
 pub fn context_key(
     background: &[Formula],
     phases: &[Phase],

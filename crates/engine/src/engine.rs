@@ -502,9 +502,9 @@ impl Engine {
             }
         };
 
-        let slice = checker.background_slice(&vc);
-        let phases = checker.sliced_phases(&slice);
-        let fingerprint = fingerprint_vc(&vc, &checker.options().budget, &slice.keep, &phases);
+        let phases = checker.background_phases();
+        let keep = vec![true; vc.background_hyps];
+        let fingerprint = fingerprint_vc(&vc, &checker.options().budget, &keep, &phases);
         // A hit that predates diagnosis (or was cached with diagnosis off)
         // cannot serve an `--explain` run: the candidate model needed to
         // build a diagnosis is not cached, so re-prove instead.
@@ -542,25 +542,21 @@ impl Engine {
             };
         }
 
-        let verdict = if checker.options().share_contexts {
-            // Prove inside a warm scope context from the pool, building
-            // (and thereby saturating) it only on the first encounter of
-            // this sliced background. The slot mutex keys same-scope
-            // obligations to one thread at a time; unrelated scopes
-            // proceed in parallel.
-            let background = checker.sliced_background(&vc, &slice);
-            let key = context_key(
-                &background,
-                &phases,
-                &checker.options().budget,
-                checker.options().strategy,
-            );
-            let slot = self.contexts.checkout(key);
+        // Prove inside a warm scope context from the pool, building (and
+        // thereby saturating) it only on the first encounter of this
+        // background. The slot mutex keys same-scope obligations to one
+        // thread at a time; unrelated scopes proceed in parallel.
+        let key = context_key(
+            &vc.hypotheses[..vc.background_hyps],
+            &phases,
+            &checker.options().budget,
+            checker.options().strategy,
+        );
+        let slot = self.contexts.checkout(key);
+        let verdict = {
             let mut guard = slot.lock().expect("context slot lock poisoned");
-            let ctx = guard.get_or_insert_with(|| checker.context_for_slice(&vc, &slice));
-            checker.verdict_for_vc_in(ctx, &vc, slice.dropped())
-        } else {
-            checker.verdict_for_vc(&vc)
+            let ctx = guard.get_or_insert_with(|| checker.context_for(&vc));
+            checker.verdict_for_vc_in(ctx, &vc)
         };
         let diagnosis = match (&verdict, self.options.diagnose) {
             (Verdict::NotVerified(_, refutation), true) => {

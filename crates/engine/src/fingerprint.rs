@@ -70,8 +70,16 @@ use std::str::FromStr;
 /// (exit obligations now allocate first), so v5 refutation attributions
 /// must not be replayed as current. Same migration by miss.
 ///
+/// Version 7: axiom relevance slicing is gone. Every obligation now
+/// proves against its scope's full background, so the keep mask is
+/// always all-true, the registration counters (`quants`,
+/// `skipped_quants`) count every background quantifier, and the stats
+/// record no longer carries `sliced_axioms`. A v6 entry proved under a
+/// sliced background would replay the old registration telemetry as if
+/// it were current. Same migration by miss.
+///
 /// [`PatternPolicy`]: oolong_logic::PatternPolicy
-pub const FINGERPRINT_VERSION: u32 = 6;
+pub const FINGERPRINT_VERSION: u32 = 7;
 
 /// The content address of one proof obligation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -91,12 +99,9 @@ impl FromStr for Fingerprint {
 }
 
 /// The fingerprint of the obligation "prove `vc` under `budget`, keeping
-/// the background axioms `keep` selects (the checker's relevance slice —
-/// all-true when slicing is off, which therefore fingerprints differently
-/// from any proper slice) and scheduling the kept axioms by `phases` (the
-/// effective activation phases, index-aligned with the *kept* axioms —
-/// all-`Eager` when `--no-pattern-policies`, which again fingerprints
-/// differently from the policy-gated schedule)".
+/// the background axioms `keep` selects (the engine keeps them all) and
+/// scheduling the kept axioms by `phases` (their declared activation
+/// phases, index-aligned with the kept axioms)".
 pub fn fingerprint_vc(vc: &Vc, budget: &Budget, keep: &[bool], phases: &[Phase]) -> Fingerprint {
     let mut hasher = StableHasher::new();
     FINGERPRINT_VERSION.hash(&mut hasher);
@@ -139,7 +144,7 @@ mod tests {
          proc bump(r) modifies r.value
          impl bump(r) { r.num := 3 }";
 
-    /// Fingerprint with the trivial (all-kept) slice and an all-eager
+    /// Fingerprint with every background axiom kept and an all-eager
     /// phase mask.
     fn fp(vc: &Vc, budget: &Budget) -> Fingerprint {
         fingerprint_vc(
@@ -167,19 +172,19 @@ mod tests {
     }
 
     #[test]
-    fn slice_is_part_of_the_obligation() {
-        // The same VC under a different relevance slice is a different
-        // content address: slicing changes the recorded statistics, so a
-        // cached entry must not be served across slice changes.
+    fn keep_mask_is_part_of_the_obligation() {
+        // The same VC proved against fewer background axioms is a
+        // different content address: a cached entry must not be served
+        // across background changes.
         let vcs = vcs_for(BASE);
-        let mut sliced = vec![true; vcs[0].background_hyps];
-        sliced[0] = false;
+        let mut dropped = vec![true; vcs[0].background_hyps];
+        dropped[0] = false;
         assert_ne!(
             fp(&vcs[0], &Budget::default()),
             fingerprint_vc(
                 &vcs[0],
                 &Budget::default(),
-                &sliced,
+                &dropped,
                 &vec![Phase::Eager; vcs[0].background_hyps],
             )
         );
@@ -189,8 +194,7 @@ mod tests {
     fn phase_mask_is_part_of_the_obligation() {
         // The same VC under a different activation schedule is a different
         // content address: gating moves instantiations between presat and
-        // goal, so a cached entry must not be served across policy changes
-        // (e.g. flipping --no-pattern-policies).
+        // goal, so a cached entry must not be served across policy changes.
         let vcs = vcs_for(BASE);
         let keep = vec![true; vcs[0].background_hyps];
         let mut phases = vec![Phase::Eager; vcs[0].background_hyps];
@@ -247,8 +251,8 @@ mod tests {
         // shifting bytes would orphan (or worse, mis-serve) disk caches.
         let vcs = vcs_for(BASE);
         let fingerprint = fp(&vcs[0], &Budget::default());
-        assert_eq!(fingerprint.to_string(), PINNED_V6);
+        assert_eq!(fingerprint.to_string(), PINNED_V7);
     }
 
-    const PINNED_V6: &str = "0b892184ff1295342d7da88b6ae11fc3";
+    const PINNED_V7: &str = "50765bd87e9c1301d6cfc5d50b371fc3";
 }

@@ -296,11 +296,6 @@ pub struct Stats {
     pub pops: u64,
     /// E-graph merges rolled back by backtracking (trail mode only).
     pub undone_merges: u64,
-    /// Background axioms pruned by relevance slicing before the proof
-    /// attempt (zero when slicing is disabled). Set by the checker, which
-    /// owns the slicing decision; deterministic per fingerprinted
-    /// obligation because the sliced axiom set is part of the fingerprint.
-    pub sliced_axioms: usize,
     /// When the outcome was [`Outcome::Unknown`]: which limit tripped.
     pub exhausted: Option<UnknownReason>,
     /// Per-quantifier instantiation telemetry, ordered by stable id.
@@ -328,7 +323,6 @@ impl Stats {
             ("trail_depth_max", self.trail_depth_max as u64),
             ("pops", self.pops),
             ("undone_merges", self.undone_merges),
-            ("sliced_axioms", self.sliced_axioms as u64),
         ]
     }
 
@@ -352,7 +346,6 @@ impl Stats {
                 "trail_depth_max" => stats.trail_depth_max = value as usize,
                 "pops" => stats.pops = value,
                 "undone_merges" => stats.undone_merges = value,
-                "sliced_axioms" => stats.sliced_axioms = value as usize,
                 _ => {}
             }
         }
@@ -566,23 +559,9 @@ pub enum SearchStrategy {
     CloneSearch,
 }
 
-impl SearchStrategy {
-    /// The process default: [`SearchStrategy::Trail`], unless the
-    /// `OOLONG_PROVER_CLONE_SEARCH` environment variable is set (checked
-    /// once per process).
-    pub fn from_env() -> SearchStrategy {
-        static CLONE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        if *CLONE.get_or_init(|| std::env::var_os("OOLONG_PROVER_CLONE_SEARCH").is_some()) {
-            SearchStrategy::CloneSearch
-        } else {
-            SearchStrategy::Trail
-        }
-    }
-}
-
 /// Proves `hypotheses ⇒ goal` by refuting `hypotheses ∧ ¬goal`.
 pub fn prove(hypotheses: &[Formula], goal: &Formula, budget: &Budget) -> Proof {
-    prove_with_strategy(hypotheses, goal, budget, SearchStrategy::from_env())
+    prove_with_strategy(hypotheses, goal, budget, SearchStrategy::Trail)
 }
 
 /// [`prove`] with an explicit backtracking strategy.
@@ -604,7 +583,7 @@ pub fn prove_with_strategy(
 /// Refutes a conjunction of NNF formulas: [`Outcome::Proved`] means the
 /// conjunction is unsatisfiable.
 pub fn refute(parts: Vec<Nnf>, budget: &Budget) -> Proof {
-    refute_with_strategy(parts, budget, SearchStrategy::from_env())
+    refute_with_strategy(parts, budget, SearchStrategy::Trail)
 }
 
 /// [`refute`] with an explicit backtracking strategy. Both strategies
@@ -735,8 +714,8 @@ pub struct ScopeContext {
     base_quant_meta: Vec<QuantMeta>,
     base_fresh: FreshGen,
     /// For each background formula (by index): the stable quantifier ids
-    /// its assertion registered, for cross-checking axiom slicing against
-    /// per-quantifier telemetry.
+    /// its assertion registered, for attributing per-quantifier telemetry
+    /// to background axioms.
     axiom_quants: Vec<Vec<usize>>,
     /// Monotonic merge count consumed by base construction.
     base_merges: u64,
@@ -995,8 +974,7 @@ impl ScopeContext {
     /// The stable quantifier ids registered by background formula `axiom`
     /// (its index in the slice passed to [`ScopeContext::new`]). Proofs
     /// from this context report per-quantifier telemetry under these ids,
-    /// so slicing decisions can be cross-checked against what actually
-    /// fired.
+    /// so what fired can be attributed back to named axioms.
     pub fn background_quants(&self, axiom: usize) -> &[usize] {
         self.axiom_quants
             .get(axiom)

@@ -26,8 +26,7 @@
 //! A unit is either a string (a `corpus:NAME` reference or a server-side
 //! file path) or an inline `{"name", "source"}` object. `options` may
 //! override the prover budget (`max_instances`, `max_gen`) and toggle
-//! `naive` / `null_checks` / `explain` / `no_pattern_policies` per
-//! request.
+//! `naive` / `null_checks` / `explain` per request.
 //!
 //! ## Responses
 //!
@@ -153,11 +152,6 @@ pub struct RequestOptions {
     pub null_checks: bool,
     /// Compute full source-level diagnoses for rejections.
     pub explain: bool,
-    /// Schedule every background axiom eagerly, ignoring the declared
-    /// activation phases (the PR-7 goalless-saturation schedule). Off by
-    /// default; the engine keys contexts and fingerprints on the phase
-    /// mask, so flipping this re-proves instead of serving stale entries.
-    pub no_pattern_policies: bool,
 }
 
 impl RequestOptions {
@@ -173,7 +167,6 @@ impl RequestOptions {
         }
         options.naive |= self.naive;
         options.null_checks |= self.null_checks;
-        options.pattern_policies &= !self.no_pattern_policies;
         options
     }
 }
@@ -224,7 +217,6 @@ fn parse_options(value: Option<&Json>) -> Result<RequestOptions, String> {
         naive: as_bool(value.get("naive")),
         null_checks: as_bool(value.get("null_checks")),
         explain: as_bool(value.get("explain")),
-        no_pattern_policies: as_bool(value.get("no_pattern_policies")),
     })
 }
 
@@ -469,17 +461,6 @@ mod tests {
         assert_eq!(unit.name(), "m.oo");
         assert_eq!(options.max_instances, Some(5));
         assert!(options.explain);
-        assert!(!options.no_pattern_policies);
-
-        let r = parse_request(
-            r#"{"cmd":"check","unit":"corpus:example1","options":{"no_pattern_policies":true}}"#,
-        )
-        .expect("ok");
-        let Command::Check { options, .. } = r.command else {
-            panic!("check");
-        };
-        assert!(options.no_pattern_policies);
-        assert!(!options.apply(&CheckOptions::default()).pattern_policies);
 
         let r = parse_request(
             r#"{"id":3,"cmd":"batch","units":["corpus:example1","corpus:example2"]}"#,

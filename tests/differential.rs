@@ -1,105 +1,29 @@
-//! Differential testing of the prover's configuration matrix:
-//! {trail, clone-search} × {shared context, per-obligation context} ×
-//! {sliced background, full background} × {policy-gated, all-eager}.
+//! Differential testing of the prover's backtracking strategy:
+//! [`SearchStrategy::Trail`] (the shipped search) against the retained
+//! clone-per-branch reference [`SearchStrategy::CloneSearch`].
 //!
-//! Three independent mechanisms claim to be *behaviorally invisible*, and
-//! each claim is checked against every verification condition of the
-//! paper corpus and of generated program populations (plain, cyclic,
-//! branchy, seeded-violation), under a roomy budget and deliberately
-//! starved ones:
+//! Both strategies execute the same search, so on every verification
+//! condition of the paper corpus and of generated program populations
+//! (plain, cyclic, branchy, seeded-violation, invariant, read-effect),
+//! under a roomy budget and deliberately starved ones, they must report
+//! identical outcomes, identical refutation labels, and identical
+//! deterministic [`Stats`] up to the trail telemetry counters, which
+//! [`Stats::without_trail_counters`] normalizes away. The clone reference
+//! itself must report no trail activity.
 //!
-//! * **Backtracking strategy** ([`SearchStrategy::Trail`] vs the retained
-//!   clone-per-branch reference): identical outcomes and identical
-//!   deterministic [`Stats`] up to the trail telemetry counters, which
-//!   [`Stats::without_trail_counters`] normalizes away.
-//! * **Context sharing** (`share_contexts`: one saturated scope context
-//!   reused by every obligation of a scope, vs a fresh context per
-//!   obligation): *bit-identical* stats — every proof starts from private
-//!   copies of the mutable search state and leaves the shared E-graph as
-//!   it found it, so sharing may not perturb anything, trail counters
-//!   included.
-//! * **Axiom slicing** (`slice_axioms`: background axioms whose triggers
-//!   cannot reach the obligation's vocabulary are dropped): identical
-//!   outcomes, refutation labels, and divergence attribution, and
-//!   identical work counters — a sliced axiom must have zero E-matches,
-//!   so only the registration counts (`quants`, `skipped_quants`,
-//!   `sliced_axioms`, inert `per_quant` rows) may change. The quantifier
-//!   rows that did any work must agree as multisets keyed by
-//!   (kind, trigger, matches, instances, deferred) — ids may shift.
-//!
-//! The fourth dimension — **activation policies** (`pattern_policies`:
-//! goal-directed axioms arm per obligation frame, vs the all-eager
-//! schedule that saturates every axiom against the goalless background) —
-//! is *scheduling*, not logic: the derivable facts are identical, so a
-//! verdict both schedules can afford to decide must come out the same,
-//! with the same refutation labels. But the schedules spend the budget in
-//! different places (eager pre-saturation work is pre-paid and replayed
-//! into every obligation's counters; gated work happens inside the
-//! frame), so near exhaustion either schedule may degrade a decision to
-//! `unknown` that the other completes. Cross-policy comparisons therefore
-//! assert only *decided-verdict* agreement: no `verified`/`not verified`
-//! flip ever, full label agreement when neither cell is `unknown`, and no
-//! counter comparison at all. Within each policy group the three
-//! invisibility claims above are asserted in full.
-//!
-//! The reference cell is trail × per-obligation × full background ×
-//! policy-gated (the shipped default).
-//! Configurations are passed explicitly through [`CheckOptions`], not
-//! through environment overrides, so the suite is immune to test-harness
-//! parallelism.
+//! The strategy is passed explicitly through [`CheckOptions`], so the
+//! suite is immune to test-harness parallelism.
 
 use oolong::corpus::{self, GenConfig};
-use oolong::datagroups::{CheckOptions, Checker, Report};
-use oolong::prover::{Budget, SearchStrategy, Stats};
+use oolong::datagroups::{CheckOptions, Checker, ImplReport, Report};
+use oolong::prover::{Budget, SearchStrategy};
 use oolong::syntax::parse_program;
 
-#[derive(Clone, Copy)]
-struct Cell {
-    strategy: SearchStrategy,
-    shared: bool,
-    sliced: bool,
-    policies: bool,
-}
-
-impl Cell {
-    fn name(self) -> String {
-        format!(
-            "{:?}×{}×{}×{}",
-            self.strategy,
-            if self.shared { "shared" } else { "per-ob" },
-            if self.sliced { "sliced" } else { "full" },
-            if self.policies { "gated" } else { "all-eager" },
-        )
-    }
-}
-
-fn all_cells() -> Vec<Cell> {
-    let mut cells = Vec::new();
-    for strategy in [SearchStrategy::Trail, SearchStrategy::CloneSearch] {
-        for shared in [false, true] {
-            for sliced in [false, true] {
-                for policies in [false, true] {
-                    cells.push(Cell {
-                        strategy,
-                        shared,
-                        sliced,
-                        policies,
-                    });
-                }
-            }
-        }
-    }
-    cells
-}
-
-fn run_cell(source: &str, budget: &Budget, cell: Cell) -> Report {
+fn run(source: &str, budget: &Budget, strategy: SearchStrategy) -> Report {
     let program = parse_program(source).expect("population programs parse");
     let options = CheckOptions {
         budget: budget.clone(),
-        strategy: cell.strategy,
-        share_contexts: cell.shared,
-        slice_axioms: cell.sliced,
-        pattern_policies: cell.policies,
+        strategy,
         ..CheckOptions::default()
     };
     Checker::new(&program, options)
@@ -107,288 +31,50 @@ fn run_cell(source: &str, budget: &Budget, cell: Cell) -> Report {
         .check_all()
 }
 
-/// Strips the `!NN` freshness suffixes from a rendered trigger: fresh
-/// symbol numbering depends on how many background formulas were
-/// processed before the quantifier, which axiom slicing legitimately
-/// shifts. The base names and trigger structure must still agree.
-fn normalize_trigger(trigger: &str) -> String {
-    let mut out = String::with_capacity(trigger.len());
-    let mut chars = trigger.chars().peekable();
-    while let Some(c) = chars.next() {
-        if c == '!' && chars.peek().is_some_and(|d| d.is_ascii_digit()) {
-            while chars.peek().is_some_and(|d| d.is_ascii_digit()) {
-                chars.next();
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
-/// The quantifier rows that performed any matching work, as a sorted
-/// multiset keyed independently of registration ids (slicing shifts ids).
-fn work_rows(stats: &Stats) -> Vec<(String, String, u64, u64, u64)> {
-    let mut rows: Vec<_> = stats
-        .per_quant
-        .iter()
-        .filter(|q| q.matches > 0 || q.instances > 0 || q.deferred > 0)
-        .map(|q| {
-            (
-                q.kind.to_string(),
-                normalize_trigger(&q.trigger),
-                q.matches,
-                q.instances,
-                q.deferred,
-            )
-        })
-        .collect();
-    rows.sort();
-    rows
-}
-
-/// A culprit row keyed without ids: kind, normalized trigger, and the
-/// match/instance/deferral counters.
-type CulpritRow = (String, String, u64, u64, u64);
-
-/// Divergence attribution as comparable data: the exhausted dimension and
-/// the culprit rows keyed without ids.
-fn divergence_key(stats: &Stats) -> Option<(String, Vec<CulpritRow>)> {
-    stats.divergence().map(|d| {
+/// The refutation's labels and primary label id, if the verdict is one.
+fn labels(report: &ImplReport) -> Option<(Vec<u32>, Option<u32>)> {
+    report.verdict.refutation().map(|refutation| {
         (
-            d.reason.as_str().to_string(),
-            d.culprits
-                .iter()
-                .map(|q| {
-                    (
-                        q.kind.to_string(),
-                        normalize_trigger(&q.trigger),
-                        q.matches,
-                        q.instances,
-                        q.deferred,
-                    )
-                })
-                .collect(),
+            refutation.labels.clone(),
+            refutation.primary.as_ref().map(|p| p.id),
         )
     })
 }
 
-/// Checks every matrix invariant for one program under one budget.
+/// Checks that trail and clone search agree on one program under one
+/// budget: verdicts, refutation labels, and normalized statistics.
 fn assert_matrix_agrees_under(name: &str, source: &str, budget: &Budget) {
-    let cells = all_cells();
-    let reports: Vec<(Cell, Report)> = cells
-        .iter()
-        .map(|&cell| (cell, run_cell(source, budget, cell)))
-        .collect();
-    let reference = &reports
-        .iter()
-        .find(|(c, _)| c.strategy == SearchStrategy::Trail && !c.shared && !c.sliced && c.policies)
-        .expect("reference cell present")
-        .1;
-
-    // Outcome-level invariants. Same-policy cells agree with the
-    // reference in full; cross-policy cells agree on every verdict both
-    // schedules could afford to decide (see the module doc).
-    for (cell, report) in &reports {
-        let cross_policy = !cell.policies;
-        let cell = cell.name();
+    let trail = run(source, budget, SearchStrategy::Trail);
+    let clone = run(source, budget, SearchStrategy::CloneSearch);
+    assert_eq!(
+        trail.impls.len(),
+        clone.impls.len(),
+        "{name}: obligation count diverges under {budget:?}"
+    );
+    for (t, c) in trail.impls.iter().zip(&clone.impls) {
+        let proc = &t.proc_name;
+        assert_eq!(proc, &c.proc_name, "{name}: order diverges");
         assert_eq!(
-            report.impls.len(),
-            reference.impls.len(),
-            "{name}: {cell}: obligation count diverges under {budget:?}"
+            t.verdict.label(),
+            c.verdict.label(),
+            "{name}: verdict for `{proc}` diverges under {budget:?}"
         );
-        for (got, want) in report.impls.iter().zip(&reference.impls) {
-            assert_eq!(
-                got.proc_name, want.proc_name,
-                "{name}: {cell}: order diverges"
-            );
-            // Refutations must land on the same obligation labels.
-            let labels = |r: &oolong::datagroups::ImplReport| {
-                r.verdict.refutation().map(|refutation| {
-                    (
-                        refutation.labels.clone(),
-                        refutation.primary.as_ref().map(|p| p.id),
-                    )
-                })
-            };
-            if cross_policy {
-                // The schedules spend the budget in different places, so
-                // one may exhaust where the other decides — but a verdict
-                // may only *degrade* to unknown across the policy
-                // dimension, never flip between decisions.
-                let (g, w) = (got.verdict.label(), want.verdict.label());
-                if g != "unknown" && w != "unknown" {
-                    assert_eq!(
-                        g, w,
-                        "{name}: {cell}: decided verdict for `{}` flips across the \
-                         policy dimension under {budget:?}",
-                        got.proc_name
-                    );
-                    assert_eq!(
-                        labels(got),
-                        labels(want),
-                        "{name}: {cell}: refutation labels for `{}` diverge across \
-                         the policy dimension under {budget:?}",
-                        got.proc_name
-                    );
-                }
-                continue;
-            }
-            assert_eq!(
-                got.verdict.label(),
-                want.verdict.label(),
-                "{name}: {cell}: verdict for `{}` diverges under {budget:?}",
-                got.proc_name
-            );
-            assert_eq!(
-                labels(got),
-                labels(want),
-                "{name}: {cell}: refutation labels for `{}` diverge under {budget:?}",
-                got.proc_name
-            );
-            // Divergence attribution: same exhausted dimension, same
-            // culprits (keyed without registration ids).
-            if let (Some(g), Some(w)) = (got.verdict.stats(), want.verdict.stats()) {
-                assert_eq!(
-                    g.exhausted, w.exhausted,
-                    "{name}: {cell}: exhaustion reason for `{}` diverges under {budget:?}",
-                    got.proc_name
-                );
-                assert_eq!(
-                    divergence_key(g),
-                    divergence_key(w),
-                    "{name}: {cell}: divergence culprits for `{}` diverge under {budget:?}",
-                    got.proc_name
-                );
-            }
-        }
-    }
-
-    let stats_of = |shared: bool,
-                    sliced: bool,
-                    strategy: SearchStrategy,
-                    policies: bool|
-     -> Vec<Option<&Stats>> {
-        let (_, report) = reports
-            .iter()
-            .find(|(c, _)| {
-                c.shared == shared
-                    && c.sliced == sliced
-                    && c.strategy == strategy
-                    && c.policies == policies
-            })
-            .expect("cell present");
-        report.impls.iter().map(|r| r.verdict.stats()).collect()
-    };
-
-    for policies in [false, true] {
-        for strategy in [SearchStrategy::Trail, SearchStrategy::CloneSearch] {
-            for sliced in [false, true] {
-                // Context sharing is bit-invisible: shared vs per-obligation
-                // stats agree exactly, trail counters included.
-                for (i, (shared, per_ob)) in stats_of(true, sliced, strategy, policies)
-                    .iter()
-                    .zip(stats_of(false, sliced, strategy, policies))
-                    .enumerate()
-                {
-                    assert_eq!(
-                        shared.cloned(),
-                        per_ob.cloned(),
-                        "{name}: sharing perturbs stats (impl {i}, {strategy:?}, \
-                         sliced={sliced}, policies={policies}) under {budget:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    for policies in [false, true] {
-        for shared in [false, true] {
-            for sliced in [false, true] {
-                // Trail vs clone agree up to trail telemetry, and the clone
-                // reference itself must report no trail activity beyond the
-                // shared base (whose counters are zero: base construction
-                // never backtracks).
-                for (i, (trail, clone)) in stats_of(shared, sliced, SearchStrategy::Trail, policies)
-                    .iter()
-                    .zip(stats_of(
-                        shared,
-                        sliced,
-                        SearchStrategy::CloneSearch,
-                        policies,
-                    ))
-                    .enumerate()
-                {
-                    let (Some(trail), Some(clone)) = (trail, clone) else {
-                        continue;
-                    };
-                    assert_eq!(
-                        trail.without_trail_counters(),
-                        clone.without_trail_counters(),
-                        "{name}: strategies diverge (impl {i}, shared={shared}, \
-                         sliced={sliced}, policies={policies}) under {budget:?}"
-                    );
-                    assert_eq!(clone.pops, 0, "{name}: clone search kept a trail");
-                    assert_eq!(clone.undone_merges, 0);
-                    assert_eq!(clone.trail_depth_max, 0);
-                }
-            }
-        }
-    }
-
-    for policies in [false, true] {
-        for strategy in [SearchStrategy::Trail, SearchStrategy::CloneSearch] {
-            for shared in [false, true] {
-                // Slicing only removes inert registrations: all work counters
-                // agree, and the quantifier rows that did work agree as
-                // multisets. `quants` may only shrink, by exactly the number
-                // of dropped axioms plus their never-instantiated registrations.
-                for (i, (sliced, full)) in stats_of(shared, true, strategy, policies)
-                    .iter()
-                    .zip(stats_of(shared, false, strategy, policies))
-                    .enumerate()
-                {
-                    let (Some(sliced), Some(full)) = (sliced, full) else {
-                        continue;
-                    };
-                    let ctx = format!(
-                        "{name}: impl {i}, {strategy:?}, shared={shared}, under {budget:?}"
-                    );
-                    assert_eq!(sliced.instances, full.instances, "{ctx}: instances");
-                    assert_eq!(sliced.branches, full.branches, "{ctx}: branches");
-                    assert_eq!(sliced.rounds, full.rounds, "{ctx}: rounds");
-                    assert_eq!(sliced.max_depth, full.max_depth, "{ctx}: max_depth");
-                    assert_eq!(sliced.peak_nodes, full.peak_nodes, "{ctx}: peak_nodes");
-                    assert_eq!(
-                        sliced.deferred_instances, full.deferred_instances,
-                        "{ctx}: deferred"
-                    );
-                    assert_eq!(
-                        sliced.trigger_matches, full.trigger_matches,
-                        "{ctx}: matches"
-                    );
-                    assert_eq!(sliced.merges, full.merges, "{ctx}: merges");
-                    assert_eq!(sliced.clauses, full.clauses, "{ctx}: clauses");
-                    assert_eq!(sliced.pops, full.pops, "{ctx}: pops");
-                    assert_eq!(
-                        sliced.undone_merges, full.undone_merges,
-                        "{ctx}: undone merges"
-                    );
-                    assert_eq!(
-                        sliced.trail_depth_max, full.trail_depth_max,
-                        "{ctx}: trail depth"
-                    );
-                    assert_eq!(work_rows(sliced), work_rows(full), "{ctx}: work rows");
-                    assert!(
-                        sliced.quants <= full.quants,
-                        "{ctx}: slicing grew the registry ({} > {})",
-                        sliced.quants,
-                        full.quants
-                    );
-                    assert_eq!(full.sliced_axioms, 0, "{ctx}: full run reported slicing");
-                }
-            }
-        }
+        assert_eq!(
+            labels(t),
+            labels(c),
+            "{name}: refutation labels for `{proc}` diverge under {budget:?}"
+        );
+        let (Some(ts), Some(cs)) = (t.verdict.stats(), c.verdict.stats()) else {
+            continue;
+        };
+        assert_eq!(
+            ts.without_trail_counters(),
+            cs.without_trail_counters(),
+            "{name}: strategies diverge on `{proc}` under {budget:?}"
+        );
+        assert_eq!(cs.pops, 0, "{name}: clone search kept a trail");
+        assert_eq!(cs.undone_merges, 0);
+        assert_eq!(cs.trail_depth_max, 0);
     }
 }
 
@@ -402,8 +88,8 @@ fn assert_matrix_agrees(name: &str, source: &str, budgets: &[Budget]) {
 /// `Proved` searches and every `Unknown` exhaustion path are compared.
 /// The roomy budget is capped like the soundness suite's: an unbounded
 /// default budget would let hopeless generated VCs grind for minutes,
-/// and a timeout here only moves an outcome to `Unknown` — which every
-/// matrix cell must still agree on.
+/// and a timeout here only moves an outcome to `Unknown` — which both
+/// strategies must still agree on.
 fn budget_grid() -> Vec<Budget> {
     let roomy = Budget {
         max_instances: 8_000,
@@ -457,7 +143,7 @@ fn matrix_agrees_on_generated_programs() {
 #[test]
 fn matrix_agrees_on_cyclic_programs() {
     // Cyclic rep inclusions starve the matcher (the paper's §5 third
-    // example); every cell must agree on the Unknown outcomes and on
+    // example); both strategies must agree on the Unknown outcomes and on
     // which budget dimension tripped.
     for seed in 0..6 {
         let src = corpus::generate_cyclic_source(seed);
@@ -468,8 +154,8 @@ fn matrix_agrees_on_cyclic_programs() {
 #[test]
 fn matrix_agrees_on_seeded_violations() {
     // Programs with a known injected bug exercise the refutation path:
-    // the prover must actually close the negated obligation, and every
-    // cell must find the same refuting labels while doing so (the
+    // the prover must actually close the negated obligation, and both
+    // strategies must find the same refuting labels while doing so (the
     // populations above are dominated by Proved/Unknown VCs).
     for seed in 0..15 {
         let v = corpus::generate_seeded_violation_source(seed);
@@ -485,7 +171,7 @@ fn matrix_agrees_on_seeded_violations() {
 fn matrix_agrees_on_invariant_programs() {
     // Correct programs carrying invariant-preserved obligations at exits
     // and call boundaries: the newest obligation kind must be just as
-    // invisible to strategy, sharing, slicing, and policy scheduling.
+    // invisible to the backtracking strategy.
     for seed in 0..6 {
         let src = corpus::generate_invariant_source(seed);
         assert_matrix_agrees(&format!("invariant seed {seed}"), &src, &budget_grid());
@@ -495,8 +181,8 @@ fn matrix_agrees_on_invariant_programs() {
 #[test]
 fn matrix_agrees_on_read_effect_programs() {
     // Correct programs whose read licenses discharge through the
-    // goal-directed read-frame-inc-reflexive axiom — the population where
-    // the policy dimension actually gates a reads-specific axiom.
+    // goal-directed read-frame-inc-reflexive axiom, which arms inside
+    // each obligation's frame.
     for seed in 0..6 {
         let src = corpus::generate_read_effect_source(seed);
         assert_matrix_agrees(&format!("read-effect seed {seed}"), &src, &budget_grid());

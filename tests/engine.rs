@@ -281,47 +281,6 @@ fn budget_change_misses_the_cache() {
     );
 }
 
-/// Toggling axiom slicing changes the keep-mask, which joins the
-/// version-3 fingerprint: verdicts cached under one slicing mode are
-/// never served to the other (migrate-by-miss — a stale hit here would
-/// replay telemetry from a different prover context).
-#[test]
-fn slice_toggle_misses_the_cache() {
-    // A program whose background actually gets sliced (section30_q drops
-    // axioms whose triggers mention vocabulary `q` never touches).
-    let src = oolong::corpus::by_name("section30_q").unwrap().source;
-    let engine = Engine::new(EngineOptions::default()).expect("in-memory engine");
-    let cold = engine.check_source("unit", src);
-    assert!(cold.prover_calls > 0);
-
-    let unsliced = CheckOptions {
-        slice_axioms: false,
-        ..CheckOptions::default()
-    };
-    let engine2 = Engine::new(EngineOptions {
-        check: unsliced,
-        ..EngineOptions::default()
-    })
-    .expect("in-memory engine");
-    let other = engine2.check_source("unit", src);
-    for (a, b) in cold.obligations.iter().zip(&other.obligations) {
-        assert_eq!(a.proc_name, b.proc_name);
-        if a.fingerprint.is_none() {
-            continue;
-        }
-        assert_ne!(
-            a.fingerprint, b.fingerprint,
-            "{}: the slice keep-mask must participate in the fingerprint",
-            a.proc_name
-        );
-        // Slicing changes the quantifier-registration telemetry but never
-        // the outcome.
-        assert_eq!(a.verdict.label(), b.verdict.label(), "{}", a.proc_name);
-    }
-    assert_eq!(other.cache_hits, 0, "no stale cross-mode hits");
-    assert_eq!(other.prover_calls, cold.prover_calls);
-}
-
 /// Within one batch, obligations whose scope background coincides share
 /// one saturated prover context: the pool records a miss for the first
 /// and hits for the rest.
@@ -335,17 +294,7 @@ fn batch_reuses_scope_contexts() {
          impl q(r) { r.f := 2 ; r.f := 3 }
          proc caller(r) modifies r.g
          impl caller(r) { q(r) }";
-    // Slicing off so all three obligations share one background (and so
-    // one context key); sharing itself stays on.
-    let options = CheckOptions {
-        slice_axioms: false,
-        ..CheckOptions::default()
-    };
-    let engine = Engine::new(EngineOptions {
-        check: options,
-        ..EngineOptions::default()
-    })
-    .expect("in-memory engine");
+    let engine = Engine::new(EngineOptions::default()).expect("in-memory engine");
     let report = engine.check_source("unit", src);
     assert_eq!(report.prover_calls, 3);
     let m = engine.contexts().metrics();

@@ -1,35 +1,26 @@
-//! Property tests for scope-shared prover contexts and axiom slicing.
+//! Property tests for scope-shared prover contexts.
 //!
-//! Two claims carry the whole scope-sharing design:
+//! One claim carries the whole scope-sharing design: **reuse is
+//! invisible.** A [`ScopeContext`] proves each obligation from private
+//! copies of the mutable search state and rolls the shared E-graph back
+//! afterwards, so proving an obligation in a context that already served
+//! *other* obligations must produce the bit-identical verdict and
+//! statistics of a freshly built context — and must leave the shared
+//! E-graph's canonical rendering untouched.
 //!
-//! 1. **Reuse is invisible.** A [`ScopeContext`] proves each obligation
-//!    from private copies of the mutable search state and rolls the
-//!    shared E-graph back afterwards, so proving an obligation in a
-//!    context that already served *other* obligations must produce the
-//!    bit-identical verdict and statistics of a freshly built context —
-//!    and must leave the shared E-graph's canonical rendering untouched.
-//! 2. **Slicing is lazy, not lossy.** The vocabulary-closure slicer may
-//!    only drop axioms whose triggers cannot possibly match; any axiom
-//!    whose quantifiers produced even one match in a *full*-background
-//!    run must be kept by the slicer for that same obligation.
+//! It is checked against randomly generated programs (including
+//! seeded-violation populations, so refutation search paths are exercised
+//! too), with obligations proven in randomized interleavings. Its
+//! consequence for the checker's worker pool — each worker proves the
+//! obligations it claims in its own context, so which worker proved what
+//! must not show — is checked by running whole scopes under 1, 2 and 4
+//! workers.
 //!
-//! Both are checked against randomly generated programs (including
-//! seeded-violation populations, so refutation search paths are
-//! exercised too), with obligations proven in randomized interleavings.
-//!
-//! A third property pins the declared activation-policy layer: **phase
-//! gating is scheduling, not logic**. Goal-directed axioms arm inside
-//! each obligation's frame instead of saturating the goalless background,
-//! which changes *where* the budget is spent but not what is derivable —
-//! so a verdict both schedules afford to decide must be identical, labels
-//! included, and a decision may only degrade to `unknown` across the
-//! policy flip, never flip between `verified` and a refutation.
+//! [`ScopeContext`]: oolong::prover::ScopeContext
 
-use std::collections::HashSet;
-
-use oolong::corpus::{generate_seeded_violation_source, generate_source, GenConfig};
-use oolong::datagroups::{CheckOptions, Checker, Verdict};
-use oolong::prover::Budget;
+use oolong::corpus::{self, generate_seeded_violation_source, generate_source, GenConfig};
+use oolong::datagroups::{CheckOptions, Checker, Report, Verdict};
+use oolong::prover::{Budget, Stats};
 use oolong::syntax::parse_program;
 use proptest::prelude::*;
 
@@ -53,9 +44,6 @@ fn assert_reuse_is_invisible(source: &str, rotate: usize) -> Result<(), TestCase
     let program = parse_program(source).expect("generated source parses");
     let options = CheckOptions {
         budget: property_budget(),
-        // Full background: all obligations of the scope then share one
-        // context, which is the configuration the engine reuses hardest.
-        slice_axioms: false,
         ..CheckOptions::default()
     };
     let checker = Checker::new(&program, options).expect("generated source analyses");
@@ -67,14 +55,12 @@ fn assert_reuse_is_invisible(source: &str, rotate: usize) -> Result<(), TestCase
     let pivot = rotate % vcs.len();
     vcs.rotate_left(pivot);
 
-    let slice = checker.background_slice(&vcs[0]);
-    prop_assert!(slice.keep.iter().all(|&k| k), "slicing was disabled");
-    let mut shared = checker.context_for_slice(&vcs[0], &slice);
+    let mut shared = checker.context_for(&vcs[0]);
     let clean = shared.debug_state();
     for vc in &vcs {
         // By the second iteration the shared context has already served
         // unrelated obligations.
-        let reused = checker.verdict_for_vc_in(&mut shared, vc, 0);
+        let reused = checker.verdict_for_vc_in(&mut shared, vc);
         prop_assert_eq!(
             shared.debug_state(),
             clean.clone(),
@@ -101,57 +87,59 @@ fn assert_reuse_is_invisible(source: &str, rotate: usize) -> Result<(), TestCase
     Ok(())
 }
 
-/// Checks every obligation of `source` under the policy-gated schedule
-/// (the default) and the all-eager schedule, asserting decided verdicts
-/// and refutation labels agree (see the module doc).
-fn assert_phase_gating_is_scheduling_only(source: &str) -> Result<(), TestCaseError> {
-    let program = parse_program(source).expect("generated source parses");
-    let mut reports = [true, false].map(|pattern_policies| {
-        let options = CheckOptions {
-            budget: property_budget(),
-            pattern_policies,
-            ..CheckOptions::default()
-        };
-        Checker::new(&program, options)
-            .expect("generated source analyses")
-            .check_all()
-    });
-    let [gated, eager] = &mut reports;
-    prop_assert_eq!(gated.impls.len(), eager.impls.len());
-    for (g, e) in gated.impls.iter().zip(&eager.impls) {
-        prop_assert_eq!(&g.proc_name, &e.proc_name);
-        let (gl, el) = (g.verdict.label(), e.verdict.label());
-        if gl == "unknown" || el == "unknown" {
-            // Either schedule may exhaust the budget where the other
-            // decides; that asymmetry is the whole point of gating.
-            continue;
-        }
-        prop_assert_eq!(
-            gl,
-            el,
-            "`{}`: phase gating flipped a decided verdict",
-            g.proc_name
-        );
-        if let (Verdict::NotVerified(_, a), Verdict::NotVerified(_, b)) = (&g.verdict, &e.verdict) {
-            prop_assert_eq!(
-                &a.labels,
-                &b.labels,
-                "`{}`: phase gating moved the refutation labels",
-                g.proc_name
-            );
-        }
-    }
-    Ok(())
+/// A report as comparable data: per implementation, the procedure name,
+/// verdict, refutation labels and full statistics.
+type ReportKey = Vec<(String, &'static str, Option<Vec<u32>>, Option<Stats>)>;
+
+fn report_key(report: &Report) -> ReportKey {
+    report
+        .impls
+        .iter()
+        .map(|r| {
+            (
+                r.proc_name.clone(),
+                r.verdict.label(),
+                r.verdict
+                    .refutation()
+                    .map(|refutation| refutation.labels.clone()),
+                r.verdict.stats().cloned(),
+            )
+        })
+        .collect()
 }
 
-/// The scheduling-only property over the paper corpus itself (not a
-/// property test, but it shares the harness): every paper program's
-/// verdicts survive the policy flip.
+/// Checks every implementation of `source` with 1, 2 and 4 workers and
+/// asserts the reports are identical.
+fn assert_worker_count_is_invisible(name: &str, source: &str) {
+    let program = parse_program(source).expect("source parses");
+    let options = CheckOptions {
+        budget: property_budget(),
+        ..CheckOptions::default()
+    };
+    let checker = Checker::new(&program, options).expect("source analyses");
+    let reference = report_key(&checker.check_all_with_workers(1));
+    for workers in [2, 4] {
+        assert_eq!(
+            report_key(&checker.check_all_with_workers(workers)),
+            reference,
+            "{name}: {workers} workers report differently from one"
+        );
+    }
+}
+
 #[test]
-fn phase_gating_is_scheduling_only_on_the_paper_corpus() {
-    for p in oolong::corpus::all() {
-        assert_phase_gating_is_scheduling_only(p.source)
-            .unwrap_or_else(|e| panic!("{}: {e}", p.name));
+fn worker_count_is_invisible_on_the_paper_corpus() {
+    for p in corpus::all() {
+        assert_worker_count_is_invisible(p.name, p.source);
+    }
+}
+
+#[test]
+fn worker_count_is_invisible_on_generated_programs() {
+    let cfg = GenConfig::default();
+    for seed in 0..12 {
+        let source = generate_source(seed, &cfg);
+        assert_worker_count_is_invisible(&format!("generated seed {seed}"), &source);
     }
 }
 
@@ -173,70 +161,5 @@ proptest! {
     fn shared_context_reuse_survives_refutations(seed in 0u64..300, rotate in 0usize..8) {
         let v = generate_seeded_violation_source(seed);
         assert_reuse_is_invisible(&v.source, rotate)?;
-    }
-
-    /// Phase gating is scheduling-only over plain generated programs:
-    /// decided verdicts and labels agree between the gated and all-eager
-    /// schedules.
-    #[test]
-    fn phase_gating_never_changes_decided_verdicts(seed in 0u64..500) {
-        let source = generate_source(seed, &GenConfig::default());
-        assert_phase_gating_is_scheduling_only(&source)?;
-    }
-
-    /// The same invariant where the prover actually refutes: seeded
-    /// violations make both schedules close the negated obligation and
-    /// agree on which labels witness the bug.
-    #[test]
-    fn phase_gating_preserves_refutations(seed in 0u64..300) {
-        let v = generate_seeded_violation_source(seed);
-        assert_phase_gating_is_scheduling_only(&v.source)?;
-    }
-
-    /// Any background axiom whose quantifiers matched even once in a
-    /// full-background run is kept by the slicer for that obligation:
-    /// slicing only ever removes axioms the matcher would never touch.
-    /// Cross-checked through the per-quantifier profile ids, which
-    /// [`ScopeContext::background_quants`] maps back to axiom indices.
-    #[test]
-    fn slicing_never_drops_an_axiom_that_fired(seed in 0u64..500) {
-        let source = generate_source(seed, &GenConfig::default());
-        let program = parse_program(&source).expect("generated source parses");
-        let options = CheckOptions {
-            budget: property_budget(),
-            ..CheckOptions::default()
-        };
-        let checker = Checker::new(&program, options).expect("generated source analyses");
-        let impls: Vec<_> = checker.scope().impls().map(|(id, _)| id).collect();
-        for id in impls {
-            let Ok(vc) = checker.vc(id) else { continue };
-            let keep = checker.background_slice(&vc).keep;
-            // Full-background run of the same obligation.
-            let full = oolong::datagroups::BackgroundSlice {
-                keep: vec![true; vc.background_hyps],
-            };
-            let mut ctx = checker.context_for_slice(&vc, &full);
-            let verdict = checker.verdict_for_vc_in(&mut ctx, &vc, 0);
-            let Some(stats) = verdict.stats() else { continue };
-            let fired: HashSet<usize> = stats
-                .per_quant
-                .iter()
-                .filter(|q| q.matches > 0)
-                .map(|q| q.id)
-                .collect();
-            for (axiom, &kept) in keep.iter().enumerate() {
-                if kept {
-                    continue;
-                }
-                for qid in ctx.background_quants(axiom) {
-                    prop_assert!(
-                        !fired.contains(qid),
-                        "`{}`: slicer dropped background axiom {axiom} but its \
-                         quantifier q{qid} matched in the full run",
-                        vc.proc_name
-                    );
-                }
-            }
-        }
     }
 }
