@@ -35,6 +35,7 @@ fn strip(vc: &Vc) -> Vc {
         background_hyps: vc.background_hyps,
         goal: vc.goal.strip_labels(),
         labels: Vec::new(),
+        shared_continuations: vc.shared_continuations,
     }
 }
 

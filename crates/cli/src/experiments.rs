@@ -29,7 +29,7 @@ fn verdict(source: &str, proc: &str, naive: bool) -> String {
 pub fn run_all() {
     let t0 = Instant::now();
 
-    println!("## E1 — grammar (Figures 0-1)");
+    outln!("## E1 — grammar (Figures 0-1)");
     let mut ok = 0;
     for p in oolong_corpus::all() {
         let program = parse_program(p.source).expect("parses");
@@ -37,50 +37,50 @@ pub fn run_all() {
         assert!(parse_program(&printed).is_ok());
         ok += 1;
     }
-    println!(
+    outln!(
         "parsed + round-tripped {ok}/{} corpus programs\n",
         oolong_corpus::all().len()
     );
 
-    println!("## E2 — pivot uniqueness (§3.0)");
+    outln!("## E2 — pivot uniqueness (§3.0)");
     let q = oolong_corpus::paper::SECTION30_Q.source;
     let full = oolong_corpus::paper::SECTION30_FULL.source;
-    println!(
+    outln!(
         "restricted  q@interface={}  q@full={}  m@full={}",
         verdict(q, "q", false),
         verdict(full, "q", false),
         verdict(full, "m", false)
     );
-    println!(
+    outln!(
         "naive       q@interface={}  q@full={}  m@full={}\n",
         verdict(q, "q", true),
         verdict(full, "q", true),
         verdict(full, "m", true)
     );
 
-    println!("## E3 — owner exclusion (§3.1)");
+    outln!("## E3 — owner exclusion (§3.1)");
     let w = oolong_corpus::paper::SECTION31_W.source;
     let bad = oolong_corpus::paper::SECTION31_BAD_CALL.source;
-    println!(
+    outln!(
         "restricted  w@interface={}  w@full={}  bad_caller={}",
         verdict(w, "w", false),
         verdict(bad, "w", false),
         verdict(bad, "bad_caller", false)
     );
-    println!(
+    outln!(
         "naive       w@interface={}  bad_caller={}\n",
         verdict(w, "w", true),
         verdict(bad, "bad_caller", true)
     );
 
-    println!("## E4/E5 — §5 examples 1-2");
-    println!(
+    outln!("## E4/E5 — §5 examples 1-2");
+    outln!(
         "example1 p={}  example2 twice={}\n",
         verdict(oolong_corpus::paper::EXAMPLE1.source, "p", false),
         verdict(oolong_corpus::paper::EXAMPLE2.source, "twice", false)
     );
 
-    println!("## E6 — cyclic rep inclusions (§5 example 3)");
+    outln!("## E6 — cyclic rep inclusions (§5 example 3)");
     let e3 = oolong_corpus::paper::EXAMPLE3.source;
     let program = parse_program(e3).expect("parses");
     for (label, budget) in [("default", Budget::default()), ("starved", Budget::tiny())] {
@@ -97,11 +97,11 @@ pub fn run_all() {
             .stats()
             .map(ToString::to_string)
             .unwrap_or_default();
-        println!("{label:>8}: {} [{stats}]", rep.verdict.label());
+        outln!("{label:>8}: {} [{stats}]", rep.verdict.label());
     }
-    println!();
+    outln!();
 
-    println!("## E7 — scope monotonicity (modular vs whole-program)");
+    outln!("## E7 — scope monotonicity (modular vs whole-program)");
     let mut checked = 0;
     let mut stable = 0;
     for p in oolong_corpus::all() {
@@ -135,11 +135,9 @@ pub fn run_all() {
             }
         }
     }
-    println!(
-        "{stable}/{checked} implementations keep their modular verdict in the whole program\n"
-    );
+    outln!("{stable}/{checked} implementations keep their modular verdict in the whole program\n");
 
-    println!("## E8 — checker scaling on generated programs");
+    outln!("## E8 — checker scaling on generated programs");
     for (label, cfg) in [
         ("small", oolong_corpus::GenConfig::default()),
         (
@@ -172,16 +170,16 @@ pub fn run_all() {
             .expect("analyses")
             .check_all();
         let (v, r, u) = report.tally();
-        println!(
+        outln!(
             "{label:>7}: {} decls, {} impls -> {v} verified / {r} rejected / {u} unknown in {:?}",
             program.decls.len(),
             report.impls.len(),
             t.elapsed()
         );
     }
-    println!();
+    outln!();
 
-    println!("## E9 — prover work profile per corpus program");
+    outln!("## E9 — prover work profile per corpus program");
     for p in oolong_corpus::all() {
         let program = parse_program(p.source).expect("parses");
         let report = Checker::new(&program, CheckOptions::default())
@@ -189,41 +187,41 @@ pub fn run_all() {
             .check_all();
         for rep in &report.impls {
             if let Some(stats) = rep.verdict.stats() {
-                println!("{:<20} {:<12} {}", p.name, rep.proc_name, stats);
+                outln!("{:<20} {:<12} {}", p.name, rep.proc_name, stats);
             }
         }
     }
-    println!();
+    outln!();
 
-    println!("## E10 — specification overhead (§6)");
+    outln!("## E10 — specification overhead (§6)");
     let mut spec = 0;
     let mut total = 0;
     for p in oolong_corpus::all() {
         let program = parse_program(p.source).expect("parses");
         let r = overhead(&program);
-        println!("{:<20} {r}", p.name);
+        outln!("{:<20} {r}", p.name);
         spec += r.spec_tokens;
         total += r.total_tokens;
     }
-    println!(
+    outln!(
         "corpus-wide: {spec} of {total} tokens ({:.1}%)\n",
         100.0 * spec as f64 / total as f64
     );
 
-    println!("## E11 — explicit modules (extension)");
+    outln!("## E11 — explicit modules (extension)");
     {
         let program = parse_program(oolong_corpus::paper::MODULAR_STACK.source).expect("parses");
         let report = datagroups::check_modular(&program, &CheckOptions::default())
             .expect("module structure valid");
         let ok = report.all_verified();
-        println!(
+        outln!(
             "modular check of `modular_stack`: {} ({} modules)\n",
             if ok { "all verified" } else { "FAILED" },
             report.modules.len()
         );
     }
 
-    println!("## E12 — array dependencies (§6 future work, extension)");
+    outln!("## E12 — array dependencies (§6 future work, extension)");
     {
         let program = parse_program(oolong_corpus::paper::ARRAY_TABLE.source).expect("parses");
         let report = Checker::new(&program, CheckOptions::default())
@@ -235,12 +233,12 @@ pub fn run_all() {
                 .stats()
                 .map(ToString::to_string)
                 .unwrap_or_default();
-            println!("{:<10} {} [{stats}]", rep.proc_name, rep.verdict.label());
+            outln!("{:<10} {} [{stats}]", rep.proc_name, rep.verdict.label());
         }
-        println!();
+        outln!();
     }
 
-    println!("## runtime ground truth (§3.0 executable counterexample)");
+    outln!("## runtime ground truth (§3.0 executable counterexample)");
     let whole = "
 group contents
 field cnt
@@ -269,7 +267,7 @@ impl setup(st, r) { st.vec := new() ; r.obj := st.vec }
             }
         }
     }
-    println!("naive-approved program: {failures}/100 runs fail the §3.0 assertion at runtime\n");
+    outln!("naive-approved program: {failures}/100 runs fail the §3.0 assertion at runtime\n");
 
-    println!("total experiment time: {:?}", t0.elapsed());
+    outln!("total experiment time: {:?}", t0.elapsed());
 }

@@ -44,7 +44,38 @@ use oolong_syntax::parse_program;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+/// `print!` to standard output through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` to standard output through [`emit`].
+macro_rules! outln {
+    () => {
+        $crate::emit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod experiments;
+
+/// Writes command output. A reader that closes the pipe early
+/// (`oolong check F | head -1`) ends the process quietly with success;
+/// any other write error ends it with status 2.
+fn emit(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(error) = std::io::stdout().lock().write_fmt(args) {
+        if error.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing output: {error}");
+        std::process::exit(2);
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -107,7 +138,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         "--help" | "-h" | "help" => {
-            println!("{}", usage());
+            outln!("{}", usage());
             Ok(ExitCode::SUCCESS)
         }
         other => Err(format!("unknown subcommand `{other}`\n{}", usage())),
@@ -199,7 +230,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     if flag(args, "--modular") {
         let report =
             datagroups::check_modular(&program, &options).map_err(|e| e.render(&source))?;
-        println!("{report}");
+        outln!("{report}");
         return Ok(if report.all_verified() {
             ExitCode::SUCCESS
         } else {
@@ -210,7 +241,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     let report = checker.check_all_parallel();
     let explain = flag(args, "--explain");
     if flag(args, "--json") {
-        println!(
+        outln!(
             "{}",
             check_report_json(&checker, &source, &report, explain).render()
         );
@@ -222,34 +253,34 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     }
     let explain_unknown = flag(args, "--explain-unknown");
     for rep in &report.impls {
-        print!("impl {}: {}", rep.proc_name, rep.verdict);
+        out!("impl {}: {}", rep.proc_name, rep.verdict);
         if let Some(stats) = rep.verdict.stats() {
-            print!("  [{stats}]");
+            out!("  [{stats}]");
         }
-        println!();
+        outln!();
         if explain {
             if let Some(branch) = rep.verdict.open_branch() {
-                println!("  unrefuted scenario:");
+                outln!("  unrefuted scenario:");
                 for line in branch {
-                    println!("    {line}");
+                    outln!("    {line}");
                 }
             }
             if let Some(d) = diagnosis_for(&checker, &source, rep) {
                 for line in render_diagnosis(&d) {
-                    println!("  {line}");
+                    outln!("  {line}");
                 }
             }
         }
         if explain_unknown {
             if let Some(divergence) = rep.verdict.divergence() {
                 for line in divergence.to_string().lines() {
-                    println!("  {line}");
+                    outln!("  {line}");
                 }
             }
         }
     }
     let (v, r, u) = report.tally();
-    println!("{v} verified, {r} rejected, {u} unknown");
+    outln!("{v} verified, {r} rejected, {u} unknown");
     Ok(if report.all_verified() {
         ExitCode::SUCCESS
     } else {
@@ -453,7 +484,7 @@ fn cmd_explain(args: &[String]) -> Result<ExitCode, String> {
                 Json::Object(members)
             })
             .collect();
-        println!(
+        outln!(
             "{}",
             Json::Object(vec![
                 ("unit".to_string(), Json::Str(spec.to_string())),
@@ -468,19 +499,19 @@ fn cmd_explain(args: &[String]) -> Result<ExitCode, String> {
         });
     }
     for o in &obligations {
-        print!("impl {}: {}", o.proc_name, o.verdict);
+        out!("impl {}: {}", o.proc_name, o.verdict);
         if o.cache_hit {
-            print!("  [cached]");
+            out!("  [cached]");
         }
-        println!();
+        outln!();
         match &o.diagnosis {
             Some(d) => {
                 for line in render_diagnosis(d) {
-                    println!("  {line}");
+                    outln!("  {line}");
                 }
             }
             None if !o.verdict.is_verified() => {
-                println!("  no diagnosis: the refuting branch carried no position label");
+                outln!("  no diagnosis: the refuting branch carried no position label");
             }
             None => {}
         }
@@ -540,7 +571,7 @@ fn cmd_infer(args: &[String]) -> Result<ExitCode, String> {
     }
 
     if flag(args, "--json") {
-        println!(
+        outln!(
             "{}",
             oolong_infer::infer_json(&outcome, accuracy.as_ref(), apply).render()
         );
@@ -552,11 +583,11 @@ fn cmd_infer(args: &[String]) -> Result<ExitCode, String> {
     }
 
     if apply && !is_file {
-        println!("{}", outcome.edited_source.trim_end());
-        println!("---");
+        outln!("{}", outcome.edited_source.trim_end());
+        outln!("---");
     }
     for proposal in &outcome.proposals {
-        println!(
+        outln!(
             "{}: {} {}  [{}, round {}]",
             proposal.proc,
             proposal.kind_name(),
@@ -566,10 +597,10 @@ fn cmd_infer(args: &[String]) -> Result<ExitCode, String> {
         );
     }
     for note in &outcome.notes {
-        println!("note: {note}");
+        outln!("note: {note}");
     }
     if let Some(acc) = &accuracy {
-        println!(
+        outln!(
             "accuracy: {}/{} exact, {} superset, {} other",
             acc.exact(),
             acc.total(),
@@ -577,7 +608,7 @@ fn cmd_infer(args: &[String]) -> Result<ExitCode, String> {
             acc.other()
         );
     }
-    println!(
+    outln!(
         "{} proposals in {} rounds: fixpoint={}, verified={}{}",
         outcome.proposals.len(),
         outcome.rounds,
@@ -590,7 +621,7 @@ fn cmd_infer(args: &[String]) -> Result<ExitCode, String> {
         }
     );
     if !outcome.unverified_procs.is_empty() {
-        println!("unverified: {}", outcome.unverified_procs.join(", "));
+        outln!("unverified: {}", outcome.unverified_procs.join(", "));
     }
     Ok(if outcome.verified {
         ExitCode::SUCCESS
@@ -630,7 +661,7 @@ fn run_batch(
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
     }
     if flag(args, "--json") {
-        println!("{}", report.to_json().render());
+        outln!("{}", report.to_json().render());
         return Ok(if report.all_verified() {
             ExitCode::SUCCESS
         } else {
@@ -641,19 +672,21 @@ fn run_batch(
         eprintln!("{}: {}", error.unit, error.message);
     }
     for obligation in &report.obligations {
-        print!(
+        out!(
             "impl {} ({}): {}",
-            obligation.proc_name, obligation.unit, obligation.verdict
+            obligation.proc_name,
+            obligation.unit,
+            obligation.verdict
         );
         if obligation.cache_hit {
-            print!("  [cached]");
+            out!("  [cached]");
         } else if let Some(stats) = obligation.verdict.stats() {
-            print!("  [{stats}]");
+            out!("  [{stats}]");
         }
-        println!();
+        outln!();
     }
     let (v, r, u) = report.tally();
-    println!(
+    outln!(
         "{} obligations: {v} verified, {r} rejected, {u} unknown; {} cache hits, {} prover calls, {:.1} ms",
         report.obligations.len(),
         report.cache_hits,
@@ -807,7 +840,7 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
             .request(line)
             .map_err(|e| format!("request failed: {e}"))?;
         all_ok &= oolong_serve::response_ok(&response);
-        println!("{}", response.render());
+        outln!("{}", response.render());
     }
     Ok(if all_ok {
         ExitCode::SUCCESS
@@ -841,11 +874,11 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
             RunOutcome::OutOfFuel => fuel += 1,
             RunOutcome::Wrong(w) => {
                 wrong += 1;
-                println!("seed {seed}: WRONG — {w}");
+                outln!("seed {seed}: WRONG — {w}");
             }
         }
     }
-    println!(
+    outln!(
         "{seeds} runs: {completed} completed, {blocked} blocked, {wrong} wrong, {fuel} out-of-fuel"
     );
     Ok(if wrong == 0 {
@@ -868,14 +901,14 @@ fn cmd_vc(args: &[String]) -> Result<ExitCode, String> {
             }
         }
         let vc = checker.vc(impl_id).map_err(|e| e.to_string())?;
-        println!(
+        outln!(
             "=== VC for impl {name} ({} hypotheses)",
             vc.hypotheses.len()
         );
         for (i, h) in vc.hypotheses.iter().enumerate() {
-            println!("H{i}: {h}");
+            outln!("H{i}: {h}");
         }
-        println!("⊢ {}", vc.goal);
+        outln!("⊢ {}", vc.goal);
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -889,7 +922,7 @@ fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
     let report = checker.check_all_parallel();
     let metrics = prover_metrics(&report);
     if flag(args, "--json") {
-        println!(
+        outln!(
             "{}",
             Json::Object(vec![
                 (
@@ -925,14 +958,14 @@ fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
         );
         return Ok(ExitCode::SUCCESS);
     }
-    println!("declarations: {}", program.decls.len());
-    println!("attributes:   {}", scope.attr_count());
-    println!("pivots:       {}", scope.pivots().len());
-    println!("procedures:   {}", scope.procs().count());
-    println!("impls:        {}", scope.impls().count());
-    println!("spec overhead: {spec}");
-    println!();
-    print!("{metrics}");
+    outln!("declarations: {}", program.decls.len());
+    outln!("attributes:   {}", scope.attr_count());
+    outln!("pivots:       {}", scope.pivots().len());
+    outln!("procedures:   {}", scope.procs().count());
+    outln!("impls:        {}", scope.impls().count());
+    outln!("spec overhead: {spec}");
+    outln!();
+    out!("{metrics}");
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1099,7 +1132,7 @@ fn cmd_axioms(args: &[String]) -> Result<ExitCode, String> {
                 ])
             })
             .collect();
-        println!(
+        outln!(
             "{}",
             Json::Object(vec![
                 ("axioms".to_string(), Json::Array(axioms)),
@@ -1116,14 +1149,14 @@ fn cmd_axioms(args: &[String]) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
     for (i, (name, _, policy)) in policies.iter().enumerate() {
-        println!("{name} [{}]", phases[i]);
+        outln!("{name} [{}]", phases[i]);
         for t in pats(policy) {
-            println!("  PATS {t}");
+            outln!("  PATS {t}");
         }
         for t in mpat(policy) {
-            println!("  MPAT {t}");
+            outln!("  MPAT {t}");
         }
-        println!(
+        outln!(
             "  {} instances ({} presat + {} goal), {} matches",
             presat[i] + goal[i],
             presat[i],
@@ -1131,7 +1164,7 @@ fn cmd_axioms(args: &[String]) -> Result<ExitCode, String> {
             matches[i]
         );
     }
-    println!(
+    outln!(
         "total: {} presat + {} goal instances across {} axioms",
         presat.iter().sum::<i64>(),
         goal.iter().sum::<i64>(),
@@ -1142,7 +1175,7 @@ fn cmd_axioms(args: &[String]) -> Result<ExitCode, String> {
 
 fn cmd_corpus() -> Result<ExitCode, String> {
     for p in oolong_corpus::all() {
-        println!("{:<22} §{}", p.name, p.section);
+        outln!("{:<22} §{}", p.name, p.section);
     }
     Ok(ExitCode::SUCCESS)
 }

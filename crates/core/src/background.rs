@@ -140,9 +140,9 @@ pub fn universal_background_policies(
 /// then the scope-dependent background, then — when `alias_restrictions`
 /// is off, i.e. for the naive baseline — the closed-world additions.
 ///
-/// `vc_for_impl` builds `Vc::hypotheses[..background_hyps]` from exactly
-/// this list in exactly this order, so the names here index the VC's
-/// background hypotheses one-for-one.
+/// Every VC's `Vc::hypotheses[..background_hyps]` is exactly this list in
+/// exactly this order (built once per checker as a `vcgen::Background`),
+/// so the names here index the VC's background hypotheses one-for-one.
 pub fn named_background(
     scope: &Scope,
     alias_restrictions: bool,

@@ -3,12 +3,13 @@
 //! theorem prover.
 
 use crate::restrict::check_pivot_uniqueness;
-use crate::vcgen::{ObligationKind, ObligationLabel, Vc, VcGen, VcOptions};
+use crate::vcgen::{Background, ObligationKind, ObligationLabel, Vc, VcGen, VcOptions};
 use oolong_logic::{Formula, PatternPolicy, Phase};
 use oolong_prover::{Budget, CandidateModel, Outcome, ScopeContext, SearchStrategy, Stats};
 use oolong_sema::{ImplId, Scope};
 use oolong_syntax::{Diagnostic, Diagnostics, Program};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Configuration for a [`Checker`].
 #[derive(Debug, Clone, Default)]
@@ -235,6 +236,9 @@ impl fmt::Display for Report {
 pub struct Checker {
     scope: Scope,
     options: CheckOptions,
+    /// The scope background, built on first use and shared by every VC,
+    /// name list, and prover context this checker produces.
+    background: OnceLock<Background>,
 }
 
 impl Checker {
@@ -245,15 +249,16 @@ impl Checker {
     /// Returns the scope-analysis diagnostics if the program is ill-formed
     /// (undeclared names, inclusion cycles, parameter mismatches, …).
     pub fn new(program: &Program, options: CheckOptions) -> Result<Checker, Diagnostics> {
-        Ok(Checker {
-            scope: Scope::analyze(program)?,
-            options,
-        })
+        Ok(Checker::from_scope(Scope::analyze(program)?, options))
     }
 
     /// Wraps an already-analysed scope.
     pub fn from_scope(scope: Scope, options: CheckOptions) -> Checker {
-        Checker { scope, options }
+        Checker {
+            scope,
+            options,
+            background: OnceLock::new(),
+        }
     }
 
     /// The underlying scope.
@@ -274,6 +279,11 @@ impl Checker {
         }
     }
 
+    fn background(&self) -> &Background {
+        self.background
+            .get_or_init(|| Background::new(&self.scope, &self.vc_options()))
+    }
+
     /// Generates (without proving) the VC for one implementation.
     ///
     /// # Errors
@@ -281,7 +291,20 @@ impl Checker {
     /// Returns a [`Diagnostic`] when the body uses an unsupported
     /// expression form.
     pub fn vc(&self, impl_id: ImplId) -> Result<Vc, Diagnostic> {
-        VcGen::new(&self.scope, self.vc_options()).vc_for_impl(impl_id)
+        VcGen::new(&self.scope, self.background(), self.vc_options()).vc_for_impl(impl_id)
+    }
+
+    /// The VC of one implementation with its goal built by the paper's
+    /// substitution-based `wlp` (Figures 2 and 3): the fidelity oracle
+    /// [`Checker::vc`] is tested against. Same hypotheses and label
+    /// metadata; see [`crate::vcgen::oracle`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Checker::vc`].
+    #[cfg(any(test, feature = "oracle"))]
+    pub fn oracle_vc(&self, impl_id: ImplId) -> Result<Vc, Diagnostic> {
+        VcGen::new(&self.scope, self.background(), self.vc_options()).oracle_vc_for_impl(impl_id)
     }
 
     /// The pivot-uniqueness violations of one implementation (always
@@ -300,9 +323,10 @@ impl Checker {
     /// and diagnostics refer to background hypotheses by name rather than
     /// position.
     pub fn background_names(&self) -> Vec<String> {
-        self.background_policies()
-            .into_iter()
-            .map(|(name, _, _)| name)
+        self.background()
+            .axioms()
+            .iter()
+            .map(|(name, _, _)| name.clone())
             .collect()
     }
 
@@ -311,24 +335,13 @@ impl Checker {
     /// `Vc::hypotheses[..background_hyps]` exactly like
     /// [`Checker::background_names`].
     pub fn background_policies(&self) -> Vec<(String, Formula, PatternPolicy)> {
-        let opts = self.vc_options();
-        let arrays = opts.force_arrays_level || crate::vcgen::scope_uses_arrays(&self.scope);
-        let mut fresh = oolong_logic::FreshGen::new();
-        crate::background::named_background_policies(
-            &self.scope,
-            opts.restrictions,
-            arrays,
-            &mut fresh,
-        )
+        self.background().axioms().to_vec()
     }
 
     /// The declared scheduling phase of every scope-background axiom,
     /// index-aligned with the VC's background hypotheses.
     pub fn background_phases(&self) -> Vec<Phase> {
-        self.background_policies()
-            .into_iter()
-            .map(|(_, _, p)| p.phase)
-            .collect()
+        self.background().phases()
     }
 
     /// Builds a prover context holding a VC's full scope background,
@@ -766,6 +779,34 @@ module stack_impl imports stack_interface {
         .check_all();
         assert!(plain.all_verified());
         assert!(leveled.all_verified(), "{leveled}");
+    }
+
+    #[test]
+    fn vcs_share_one_background() {
+        let program = parse_program(
+            "group g field f in g
+             proc p(t) modifies t.g
+             impl p(t) { t.f := 1 }
+             impl p(t) { assume t != null ; t.f := 2 }",
+        )
+        .unwrap();
+        let checker = Checker::new(&program, CheckOptions::default()).unwrap();
+        let ids: Vec<_> = checker.scope().impls().map(|(id, _)| id).collect();
+        let first = checker.vc(ids[0]).unwrap();
+        let again = checker.vc(ids[0]).unwrap();
+        let second = checker.vc(ids[1]).unwrap();
+        let background = |vc: &Vc| vc.hypotheses[..vc.background_hyps].to_vec();
+        assert_eq!(first.hypotheses, again.hypotheses);
+        assert_eq!(first.goal, again.goal);
+        assert_eq!(background(&first), background(&second));
+        let policies: Vec<Formula> = checker
+            .background_policies()
+            .into_iter()
+            .map(|(_, f, _)| f)
+            .collect();
+        assert_eq!(background(&first), policies);
+        assert_eq!(checker.background_names().len(), first.background_hyps);
+        assert_eq!(checker.background_phases().len(), first.background_hyps);
     }
 
     #[test]

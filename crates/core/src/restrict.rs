@@ -59,7 +59,12 @@ fn walk(scope: &Scope, params: &[String], cmd: &Cmd, diags: &mut Vec<Diagnostic>
         }
         Cmd::AssignNew { .. } => {}
         Cmd::Var(_, body, _) => walk(scope, params, body, diags),
-        Cmd::Seq(a, b) | Cmd::Choice(a, b) => {
+        Cmd::Seq(cs) => {
+            for c in cs {
+                walk(scope, params, c, diags);
+            }
+        }
+        Cmd::Choice(a, b) => {
             walk(scope, params, a, diags);
             walk(scope, params, b, diags);
         }

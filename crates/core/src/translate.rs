@@ -12,8 +12,75 @@
 //! position must be object/integer shaped (constants, variables,
 //! designators, arithmetic). Violations are reported as translation errors.
 
-use oolong_logic::{Atom, Formula, Term};
+use oolong_logic::{Atom, Formula, Symbol, Term, STORE};
 use oolong_syntax::{BinOp, Diagnostic, Expr, UnaryOp};
+use std::collections::HashMap;
+
+/// The program state a translation reads: the term standing for the
+/// current store and the term each assigned local currently holds. An
+/// identifier without an entry (a parameter, or a local not assigned
+/// since its `var`) translates to itself.
+#[derive(Debug, Clone)]
+pub struct State {
+    /// The current store, `$` on entry.
+    pub store: Term,
+    locals: HashMap<Symbol, Term>,
+}
+
+impl State {
+    /// The state on entry: store `$`, every identifier denoting itself.
+    pub fn initial() -> State {
+        State::at(Term::store())
+    }
+
+    /// The state with current store `store` and no assigned locals.
+    pub fn at(store: Term) -> State {
+        State {
+            store,
+            locals: HashMap::new(),
+        }
+    }
+
+    /// The term identifier `name` denotes.
+    pub fn local(&self, name: Symbol) -> Term {
+        self.locals
+            .get(&name)
+            .copied()
+            .unwrap_or_else(|| Term::var(name))
+    }
+
+    /// Binds `name` (the store when it is `$`) to `value`.
+    pub fn assign(&mut self, name: Symbol, value: Term) {
+        if name == STORE {
+            self.store = value;
+        } else {
+            self.locals.insert(name, value);
+        }
+    }
+
+    /// Makes `name` denote itself again (entering its `var` block),
+    /// returning the entry it had.
+    pub fn unbind(&mut self, name: Symbol) -> Option<Term> {
+        self.locals.remove(&name)
+    }
+
+    /// Restores an entry returned by [`State::unbind`] (leaving the block).
+    pub fn rebind(&mut self, name: Symbol, entry: Option<Term>) {
+        match entry {
+            Some(value) => self.locals.insert(name, value),
+            None => self.locals.remove(&name),
+        };
+    }
+
+    /// The locals with an entry in `self` or `other`, sorted by name so
+    /// callers iterate them in a process-independent order.
+    pub fn assigned_locals(&self, other: &State) -> Vec<Symbol> {
+        let mut names: Vec<Symbol> = self.locals.keys().copied().collect();
+        names.extend(other.locals.keys().filter(|k| !self.locals.contains_key(k)));
+        names.sort_by_key(|s| s.as_str());
+        names
+    }
+}
 
 /// A translated value expression: its term and the accumulated
 /// well-definedness conditions (one `≠ null` per dereference).
@@ -35,21 +102,21 @@ pub struct TrFormula {
 }
 
 /// Translates an expression in *value* position, reading object attributes
-/// from the store denoted by `store`.
+/// from `state`'s store and identifiers from its locals.
 ///
 /// # Errors
 ///
 /// Returns a [`Diagnostic`] if the expression uses a boolean operator in
 /// value position.
-pub fn tr_value(expr: &Expr, store: &Term) -> Result<TrValue, Diagnostic> {
+pub fn tr_value(expr: &Expr, state: &State) -> Result<TrValue, Diagnostic> {
     let mut defined = Vec::new();
-    let term = tr_value_inner(expr, store, &mut defined)?;
+    let term = tr_value_inner(expr, state, &mut defined)?;
     Ok(TrValue { term, defined })
 }
 
 fn tr_value_inner(
     expr: &Expr,
-    store: &Term,
+    state: &State,
     defined: &mut Vec<Formula>,
 ) -> Result<Term, Diagnostic> {
     match expr {
@@ -58,12 +125,12 @@ fn tr_value_inner(
             oolong_syntax::Const::Bool(b) => Term::boolean(*b),
             oolong_syntax::Const::Int(n) => Term::int(*n),
         }),
-        Expr::Id(id) => Ok(Term::var(id.text.clone())),
+        Expr::Id(id) => Ok(state.local(Symbol::intern(&id.text))),
         Expr::Select { base, attr, .. } => {
-            let base_term = tr_value_inner(base, store, defined)?;
+            let base_term = tr_value_inner(base, state, defined)?;
             defined.push(Formula::neq(base_term, Term::null()));
             Ok(Term::select(
-                *store,
+                state.store,
                 base_term,
                 Term::attr(attr.text.clone()),
             ))
@@ -71,14 +138,14 @@ fn tr_value_inner(
         Expr::Index { base, index, .. } => {
             // tr(E[I]) = $(tr(E)·tr(I)) — the store is untyped in its key
             // position, so integer slots reuse `select` directly.
-            let base_term = tr_value_inner(base, store, defined)?;
-            let index_term = tr_value_inner(index, store, defined)?;
+            let base_term = tr_value_inner(base, state, defined)?;
+            let index_term = tr_value_inner(index, state, defined)?;
             defined.push(Formula::neq(base_term, Term::null()));
-            Ok(Term::select(*store, base_term, index_term))
+            Ok(Term::select(state.store, base_term, index_term))
         }
         Expr::Binary { op, lhs, rhs, span } => {
-            let l = tr_value_inner(lhs, store, defined)?;
-            let r = tr_value_inner(rhs, store, defined)?;
+            let l = tr_value_inner(lhs, state, defined)?;
+            let r = tr_value_inner(rhs, state, defined)?;
             match op {
                 BinOp::Add => Ok(Term::add(l, r)),
                 BinOp::Sub => Ok(Term::sub(l, r)),
@@ -90,7 +157,7 @@ fn tr_value_inner(
             }
         }
         Expr::Unary { op, operand, span } => {
-            let o = tr_value_inner(operand, store, defined)?;
+            let o = tr_value_inner(operand, state, defined)?;
             match op {
                 UnaryOp::Neg => Ok(Term::neg(o)),
                 UnaryOp::Not => Err(Diagnostic::error(
@@ -118,20 +185,20 @@ pub struct HeapRead {
     pub span: oolong_syntax::Span,
 }
 
-/// Collects every heap read `expr` performs, innermost first, reading from
-/// the store denoted by `store`. Expressions that fail value translation
-/// contribute no reads (the caller's own `tr_*` call reports the error).
-pub fn heap_reads(expr: &Expr, store: &Term) -> Vec<HeapRead> {
+/// Collects every heap read `expr` performs, innermost first, translated
+/// in `state`. Expressions that fail value translation contribute no reads
+/// (the caller's own `tr_*` call reports the error).
+pub fn heap_reads(expr: &Expr, state: &State) -> Vec<HeapRead> {
     let mut out = Vec::new();
-    collect_heap_reads(expr, store, &mut out);
+    collect_heap_reads(expr, state, &mut out);
     out
 }
 
-fn collect_heap_reads(expr: &Expr, store: &Term, out: &mut Vec<HeapRead>) {
+fn collect_heap_reads(expr: &Expr, state: &State, out: &mut Vec<HeapRead>) {
     match expr {
         Expr::Select { base, attr, .. } => {
-            collect_heap_reads(base, store, out);
-            if let Ok(b) = tr_value(base, store) {
+            collect_heap_reads(base, state, out);
+            if let Ok(b) = tr_value(base, state) {
                 out.push(HeapRead {
                     obj: b.term,
                     attr: Term::attr(attr.text.clone()),
@@ -141,9 +208,9 @@ fn collect_heap_reads(expr: &Expr, store: &Term, out: &mut Vec<HeapRead>) {
             }
         }
         Expr::Index { base, index, .. } => {
-            collect_heap_reads(base, store, out);
-            collect_heap_reads(index, store, out);
-            if let (Ok(b), Ok(i)) = (tr_value(base, store), tr_value(index, store)) {
+            collect_heap_reads(base, state, out);
+            collect_heap_reads(index, state, out);
+            if let (Ok(b), Ok(i)) = (tr_value(base, state), tr_value(index, state)) {
                 out.push(HeapRead {
                     obj: b.term,
                     attr: i.term,
@@ -153,10 +220,10 @@ fn collect_heap_reads(expr: &Expr, store: &Term, out: &mut Vec<HeapRead>) {
             }
         }
         Expr::Binary { lhs, rhs, .. } => {
-            collect_heap_reads(lhs, store, out);
-            collect_heap_reads(rhs, store, out);
+            collect_heap_reads(lhs, state, out);
+            collect_heap_reads(rhs, state, out);
         }
-        Expr::Unary { operand, .. } => collect_heap_reads(operand, store, out),
+        Expr::Unary { operand, .. } => collect_heap_reads(operand, state, out),
         Expr::Const(..) | Expr::Id(_) => {}
     }
 }
@@ -173,15 +240,15 @@ fn collect_heap_reads(expr: &Expr, store: &Term, out: &mut Vec<HeapRead>) {
 /// makes sense in a way that cannot be interpreted (currently arithmetic is
 /// always interpretable as a `BoolTerm`, so this only propagates inner
 /// errors).
-pub fn tr_formula(expr: &Expr, store: &Term) -> Result<TrFormula, Diagnostic> {
+pub fn tr_formula(expr: &Expr, state: &State) -> Result<TrFormula, Diagnostic> {
     let mut defined = Vec::new();
-    let formula = tr_formula_inner(expr, store, &mut defined)?;
+    let formula = tr_formula_inner(expr, state, &mut defined)?;
     Ok(TrFormula { formula, defined })
 }
 
 fn tr_formula_inner(
     expr: &Expr,
-    store: &Term,
+    state: &State,
     defined: &mut Vec<Formula>,
 ) -> Result<Formula, Diagnostic> {
     match expr {
@@ -189,16 +256,16 @@ fn tr_formula_inner(
         Expr::Const(oolong_syntax::Const::Bool(false), _) => Ok(Formula::False),
         Expr::Binary { op, lhs, rhs, .. } if op.is_predicate() => match op {
             BinOp::And => Ok(Formula::and(vec![
-                tr_formula_inner(lhs, store, defined)?,
-                tr_formula_inner(rhs, store, defined)?,
+                tr_formula_inner(lhs, state, defined)?,
+                tr_formula_inner(rhs, state, defined)?,
             ])),
             BinOp::Or => Ok(Formula::or(vec![
-                tr_formula_inner(lhs, store, defined)?,
-                tr_formula_inner(rhs, store, defined)?,
+                tr_formula_inner(lhs, state, defined)?,
+                tr_formula_inner(rhs, state, defined)?,
             ])),
             BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                let l = tr_value_inner(lhs, store, defined)?;
-                let r = tr_value_inner(rhs, store, defined)?;
+                let l = tr_value_inner(lhs, state, defined)?;
+                let r = tr_value_inner(rhs, state, defined)?;
                 Ok(match op {
                     BinOp::Eq => Formula::eq(l, r),
                     BinOp::Ne => Formula::neq(l, r),
@@ -215,10 +282,10 @@ fn tr_formula_inner(
             op: UnaryOp::Not,
             operand,
             ..
-        } => Ok(Formula::not(tr_formula_inner(operand, store, defined)?)),
+        } => Ok(Formula::not(tr_formula_inner(operand, state, defined)?)),
         other => {
             // A value used as a proposition: holds when it equals `true`.
-            let term = tr_value_inner(other, store, defined)?;
+            let term = tr_value_inner(other, state, defined)?;
             Ok(Formula::Atom(Atom::BoolTerm(term)))
         }
     }
@@ -230,11 +297,11 @@ mod tests {
     use oolong_syntax::parse_expr;
 
     fn value(src: &str) -> TrValue {
-        tr_value(&parse_expr(src).expect("parses"), &Term::store()).expect("translates")
+        tr_value(&parse_expr(src).expect("parses"), &State::initial()).expect("translates")
     }
 
     fn formula(src: &str) -> TrFormula {
-        tr_formula(&parse_expr(src).expect("parses"), &Term::store()).expect("translates")
+        tr_formula(&parse_expr(src).expect("parses"), &State::initial()).expect("translates")
     }
 
     #[test]
@@ -270,9 +337,9 @@ mod tests {
     #[test]
     fn boolean_op_in_value_position_rejected() {
         let e = parse_expr("a = b").unwrap();
-        assert!(tr_value(&e, &Term::store()).is_err());
+        assert!(tr_value(&e, &State::initial()).is_err());
         let e2 = parse_expr("!a").unwrap();
-        assert!(tr_value(&e2, &Term::store()).is_err());
+        assert!(tr_value(&e2, &State::initial()).is_err());
     }
 
     #[test]
@@ -323,7 +390,7 @@ mod tests {
     #[test]
     fn heap_reads_collects_dereferences_innermost_first() {
         let e = parse_expr("t.c.d + u.f").unwrap();
-        let reads = heap_reads(&e, &Term::store());
+        let reads = heap_reads(&e, &State::initial());
         assert_eq!(reads.len(), 3);
         assert_eq!(reads[0].desc, "t.c");
         assert_eq!(reads[0].obj, Term::var("t"));
@@ -335,18 +402,36 @@ mod tests {
         );
         assert_eq!(reads[2].desc, "u.f");
         // Slot reads use the translated index as the attribute.
-        let s = heap_reads(&parse_expr("a[i].f").unwrap(), &Term::store());
+        let s = heap_reads(&parse_expr("a[i].f").unwrap(), &State::initial());
         assert_eq!(s.len(), 2);
         assert_eq!(s[0].attr, Term::var("i"));
     }
 
     #[test]
     fn custom_store_is_threaded() {
-        let store0 = Term::store0();
-        let v = tr_value(&parse_expr("t.f").unwrap(), &store0).unwrap();
+        let v = tr_value(&parse_expr("t.f").unwrap(), &State::at(Term::store0())).unwrap();
         assert_eq!(
             v.term,
             Term::select(Term::store0(), Term::var("t"), Term::attr("f"))
         );
+    }
+
+    #[test]
+    fn assigned_locals_translate_to_their_terms() {
+        let mut state = State::initial();
+        state.assign(Symbol::intern("x"), Term::int(3));
+        state.assign(Symbol::intern(STORE), Term::store0());
+        let v = tr_value(&parse_expr("x + t.f").unwrap(), &state).unwrap();
+        assert_eq!(
+            v.term,
+            Term::add(
+                Term::int(3),
+                Term::select(Term::store0(), Term::var("t"), Term::attr("f"))
+            )
+        );
+        let entry = state.unbind(Symbol::intern("x"));
+        assert_eq!(state.local(Symbol::intern("x")), Term::var("x"));
+        state.rebind(Symbol::intern("x"), entry);
+        assert_eq!(state.local(Symbol::intern("x")), Term::int(3));
     }
 }

@@ -1,26 +1,40 @@
-//! Verification-condition generation: `wlp` (Figures 2 and 3) and the
-//! per-implementation VC of formula (1):
+//! Verification-condition generation: the per-implementation VC of
+//! formula (1):
 //!
 //! ```text
 //! UBP ∧ BP_D ∧ Init(m) ⇒ wlp_{w,$0}(C, true)
 //! ```
 //!
-//! One reading note: Figure 2 writes the allocation rule as
-//! `Q[x := new($)][$ := $⁺]`. Read literally as sequential substitution
-//! this would rewrite the just-introduced `new($)` into `new($⁺)` —
-//! allocating one object and assigning a different one. We read the
-//! substitution pairs as *parallel* (`Q[x := new($), $ := $⁺]`), which
-//! matches the operational semantics: `x` receives `new(S_pre)` and the
-//! store advances to `S_pre⁺`. The field-allocation rule is treated
-//! correspondingly: the final store is `$⁺(tr(E)·f := new($))`.
+//! The goal is built by one forward pass over the desugared body (see
+//! DESIGN.md, "VC generation"). The pass carries a [`State`]: the term the
+//! store `$` and each assigned local hold at the current point. An
+//! assignment, heap write, allocation, or call's post store updates that
+//! state in O(1); each obligation is translated once, under the state at
+//! its program point, and appended to the innermost open frame (an
+//! assumption, a quantifier, or a choice's join). Nothing substitutes into
+//! the goal built so far. At a choice both arms start from the same state;
+//! every local (and `$`) the arms leave different gets a fresh join
+//! variable, defined by one equation per arm, and the continuation is
+//! generated once under the disjunction of the arms' exit conditions — the
+//! shared continuation of Flanagan & Saxe's passive form.
+//!
+//! On bodies without a choice followed by more work, the result equals
+//! the paper's substitution-based `wlp` (Figures 2 and 3), which survives
+//! only as the test-time oracle in `vcgen::oracle`, up to the names of bound
+//! variables and label ids, with the same conjunct order.
 
 use crate::effects::{ModEntry, ModList};
-use crate::translate::{tr_formula, tr_value};
+use crate::translate::{tr_formula, tr_value, State};
 use oolong_logic::transform::FreshGen;
-use oolong_logic::{Atom, Formula, Pattern, Symbol, Term, Trigger};
+use oolong_logic::{
+    Atom, Formula, Pattern, PatternPolicy, Phase, Symbol, Term, Trigger, JOIN_LABEL, STORE,
+};
 use oolong_sema::{ImplId, Scope};
 use oolong_syntax::{Cmd, Diagnostic, Expr, Span};
 use std::fmt;
+
+#[cfg(any(test, feature = "oracle"))]
+pub mod oracle;
 
 /// The kind of proof obligation a position label marks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -151,6 +165,10 @@ pub struct Vc {
     pub goal: Formula,
     /// The position labels embedded in `goal`, indexed by label id.
     pub labels: Vec<ObligationLabel>,
+    /// Choices whose (non-empty) continuation the goal shares between
+    /// both arms instead of repeating it per arm. Zero exactly when the
+    /// goal equals the paper's `wlp` up to bound names and label ids.
+    pub shared_continuations: usize,
 }
 
 impl Vc {
@@ -181,36 +199,298 @@ impl Vc {
     }
 }
 
+/// The scope-level part shared by every VC of one scope: the named
+/// background axioms (`UBP ∧ BP_D`, plus the closed-world additions in
+/// naive mode) with their declared activation policies. Built once per
+/// scope and [`VcOptions`]; [`crate::Checker`] keeps one.
+#[derive(Debug, Clone)]
+pub struct Background {
+    axioms: Vec<(String, Formula, PatternPolicy)>,
+    /// Whether the scope is checked at the *arrays* language level
+    /// (declares `maps elem` clauses or uses index syntax): selects the
+    /// extended axiom (4), the slot axioms, and the elementwise
+    /// owner-exclusion clauses.
+    arrays: bool,
+    /// The fresh-name generator after building the axioms. Every VC
+    /// continues from this state, so its names never clash with the
+    /// axioms' binders and are the same whichever VC is generated first.
+    fresh: FreshGen,
+}
+
+impl Background {
+    /// Builds the background of `scope` under `options`.
+    pub fn new(scope: &Scope, options: &VcOptions) -> Background {
+        let arrays = options.force_arrays_level || scope_uses_arrays(scope);
+        let mut fresh = FreshGen::new();
+        let axioms = crate::background::named_background_policies(
+            scope,
+            options.restrictions,
+            arrays,
+            &mut fresh,
+        );
+        Background {
+            axioms,
+            arrays,
+            fresh,
+        }
+    }
+
+    /// The axioms with their stable names and declared policies, in
+    /// hypothesis order.
+    pub fn axioms(&self) -> &[(String, Formula, PatternPolicy)] {
+        &self.axioms
+    }
+
+    /// The declared scheduling phase of every axiom, in hypothesis order.
+    pub fn phases(&self) -> Vec<Phase> {
+        self.axioms.iter().map(|(_, _, p)| p.phase).collect()
+    }
+}
+
 /// Verification-condition generator for one scope.
 #[derive(Debug)]
 pub struct VcGen<'s> {
     scope: &'s Scope,
+    background: &'s Background,
     options: VcOptions,
     fresh: FreshGen,
-    /// Whether the scope is at the *arrays* language level (declares
-    /// `maps elem` clauses or uses index syntax): selects the extended
-    /// axiom (4), the slot axioms, and the elementwise owner-exclusion
-    /// clauses.
-    arrays: bool,
     /// Position labels allocated while generating the current VC's goal;
     /// drained into [`Vc::labels`] by [`VcGen::vc_for_impl`].
     labels: Vec<ObligationLabel>,
     /// The current implementation's declared read frame, when its
     /// procedure carries a `reads` clause: every heap `select` the body
-    /// performs is licensed against it. `None` leaves reads unconstrained
-    /// (a declaration without the clause, or `wlp` used standalone).
+    /// performs is licensed against it. `None` leaves reads unconstrained.
     reads: Option<ModList>,
 }
 
+/// The parts of a VC that do not depend on the body: hypotheses and the
+/// implementation's modifies list.
+struct Entry {
+    proc_name: String,
+    w: ModList,
+    hypotheses: Vec<Formula>,
+    background_hyps: usize,
+}
+
+/// What one primitive command contributes to the VC, translated in the
+/// state before it.
+struct Step {
+    /// Conjuncts that must hold before the command, in order: read
+    /// licenses, definedness conditions, then the command's own labelled
+    /// obligations.
+    checks: Vec<Formula>,
+    /// How the command changes the state the continuation is read in.
+    effect: Effect,
+}
+
+enum Effect {
+    /// None (`assert`).
+    Nothing,
+    /// The continuation runs only where the formula holds (`assume`).
+    Assume(Formula),
+    /// Simultaneous assignment to locals and the store (named `$`).
+    Assign(Vec<(Symbol, Term)>),
+    /// A call (Figure 3): the continuation sits under
+    /// `∀ args :: equalities ⇒ (obligations ∧ ∀ post :: frame ⇒ …)` and
+    /// reads the store `post`.
+    Call {
+        args: Vec<Symbol>,
+        equalities: Formula,
+        obligations: Vec<Formula>,
+        post: Symbol,
+        frame: Formula,
+    },
+}
+
+/// One open scope of the goal under construction: everything appended
+/// after it was opened, continuation included, lands inside it.
+struct Frame {
+    guard: Guard,
+    conjuncts: Vec<Formula>,
+    /// Conjuncts the enclosing frame receives right after this frame's
+    /// formula: a choice's second arm follows the shared continuation,
+    /// the order in which `wlp`'s `wlp(C₀, Q) ∧ wlp(C₁, Q)` first meets
+    /// each obligation.
+    trailer: Vec<Formula>,
+}
+
+enum Guard {
+    /// The outermost frame of the body or of a choice arm.
+    Top,
+    /// `A₁ ∧ … ∧ Aₙ ⇒ …`. Assumptions with nothing between them share
+    /// one frame, so a run of `assume`s nests one level, not one per
+    /// command; the prover's normal form is the same either way.
+    Assume(Vec<Formula>),
+    /// `∀ x₁ … xₙ :: …` (a `var` block, or a call's arguments or post
+    /// store).
+    Forall(Vec<Symbol>),
+    /// The shared continuation of a choice:
+    /// `∀ joins :: (exit₀ ∨ exit₁) ∧ A₁ ∧ … ⇒ …`. Vanishes when the
+    /// continuation is empty; is just the continuation when the arms end
+    /// in the same state under no assumption.
+    Join {
+        vars: Vec<Symbol>,
+        guards: Vec<Formula>,
+    },
+}
+
+impl Frame {
+    fn new(guard: Guard) -> Frame {
+        Frame {
+            guard,
+            conjuncts: Vec::new(),
+            trailer: Vec::new(),
+        }
+    }
+
+    /// The frame as one formula around its conjuncts, counting a join
+    /// with a non-empty continuation in `shared`.
+    fn close(self, shared: &mut usize) -> Formula {
+        let body = Formula::and(self.conjuncts);
+        match self.guard {
+            Guard::Top => body,
+            Guard::Assume(guards) => guard(Formula::and(guards), body),
+            Guard::Forall(vars) => Formula::forall(vars, Vec::new(), body),
+            Guard::Join { vars, guards } => {
+                if body == Formula::True {
+                    Formula::True
+                } else {
+                    *shared += 1;
+                    Formula::forall(vars, Vec::new(), guard(Formula::and(guards), body))
+                }
+            }
+        }
+    }
+}
+
+/// `p ⇒ q`, folding an implication `q = (a ⇒ b)` into `p ∧ a ⇒ b`, so a
+/// run of assumptions nests one level however it arose (the prover's
+/// normal form of both shapes is the same).
+fn guard(p: Formula, q: Formula) -> Formula {
+    match q {
+        Formula::Implies(a, b) => Formula::implies(Formula::and(vec![p, *a]), *b),
+        q => Formula::implies(p, q),
+    }
+}
+
+/// The forward pass's position: the open frames, innermost last, and the
+/// term every local and the store hold here.
+struct Pass {
+    frames: Vec<Frame>,
+    state: State,
+    /// Joins closed so far with a non-empty continuation.
+    shared: usize,
+}
+
+impl Pass {
+    fn top(&mut self) -> &mut Frame {
+        self.frames
+            .last_mut()
+            .expect("the top frame is never closed early")
+    }
+
+    fn push(&mut self, conjunct: Formula) {
+        if conjunct != Formula::True {
+            self.top().conjuncts.push(conjunct);
+        }
+    }
+
+    fn open(&mut self, guard: Guard) {
+        self.frames.push(Frame::new(guard));
+    }
+
+    fn assume(&mut self, guard: Formula) {
+        let top = self.top();
+        if top.conjuncts.is_empty() {
+            if let Guard::Assume(guards) | Guard::Join { guards, .. } = &mut top.guard {
+                guards.push(guard);
+                return;
+            }
+        }
+        self.open(Guard::Assume(vec![guard]));
+    }
+
+    fn apply(&mut self, step: Step) {
+        for check in step.checks {
+            self.push(check);
+        }
+        match step.effect {
+            Effect::Nothing => {}
+            Effect::Assume(guard) => self.assume(guard),
+            Effect::Assign(pairs) => {
+                for (name, value) in pairs {
+                    self.state.assign(name, value);
+                }
+            }
+            Effect::Call {
+                args,
+                equalities,
+                obligations,
+                post,
+                frame,
+            } => {
+                self.open(Guard::Forall(args));
+                self.open(Guard::Assume(vec![equalities]));
+                for obligation in obligations {
+                    self.push(obligation);
+                }
+                self.open(Guard::Forall(vec![post]));
+                self.open(Guard::Assume(vec![frame]));
+                self.state.store = Term::var(post);
+            }
+        }
+    }
+}
+
+/// Folds frames, innermost last, into one formula (see [`Frame::close`]).
+fn close_all(mut frames: Vec<Frame>, shared: &mut usize) -> Formula {
+    let mut inner = frames.pop().expect("at least one frame");
+    while let Some(mut outer) = frames.pop() {
+        let trailer = std::mem::take(&mut inner.trailer);
+        let formula = inner.close(shared);
+        outer.conjuncts.extend(
+            std::iter::once(formula)
+                .chain(trailer)
+                .filter(|f| *f != Formula::True),
+        );
+        inner = outer;
+    }
+    inner.close(shared)
+}
+
+/// The condition under which a choice arm, whose frames are `frames`,
+/// reaches its end with the join equations `joins` holding: the arm's
+/// assumptions, with its bound variables existentially closed.
+fn exit_condition(frames: &[Frame], joins: Vec<Formula>) -> Formula {
+    let mut exit = Formula::and(joins);
+    for frame in frames.iter().rev() {
+        exit = match &frame.guard {
+            Guard::Top => exit,
+            Guard::Assume(guards) => Formula::and(guards.iter().cloned().chain([exit]).collect()),
+            Guard::Forall(vars) if exit != Formula::True => Formula::exists(vars.clone(), exit),
+            Guard::Forall(_) => exit,
+            Guard::Join { vars, guards } => {
+                let inner = Formula::and(guards.iter().cloned().chain([exit]).collect());
+                if inner == Formula::True {
+                    inner
+                } else {
+                    Formula::exists(vars.clone(), inner)
+                }
+            }
+        };
+    }
+    exit
+}
+
 impl<'s> VcGen<'s> {
-    /// Creates a generator over `scope`.
-    pub fn new(scope: &'s Scope, options: VcOptions) -> Self {
-        let arrays = options.force_arrays_level || scope_uses_arrays(scope);
+    /// Creates a generator over `scope`, whose background `background`
+    /// must have been built from the same scope and options.
+    pub fn new(scope: &'s Scope, background: &'s Background, options: VcOptions) -> Self {
         VcGen {
             scope,
+            background,
             options,
-            fresh: FreshGen::new(),
-            arrays,
+            fresh: background.fresh.clone(),
             labels: Vec::new(),
             reads: None,
         }
@@ -265,7 +545,7 @@ impl<'s> VcGen<'s> {
         store: &Term,
         hypothesis: bool,
     ) -> Result<Formula, Diagnostic> {
-        let tr = tr_formula(expr, store)?;
+        let tr = tr_formula(expr, &State::at(*store))?;
         let o = self.fresh.fresh("invO");
         let body = tr.formula.subst(&[("this".into(), Term::var(o))]);
         let alive = Atom::Alive(*store, Term::var(o));
@@ -288,15 +568,15 @@ impl<'s> VcGen<'s> {
     }
 
     /// Read-frame licenses for every heap `select` the expressions
-    /// perform, against the current implementation's declared `reads`
-    /// frame. Empty when the procedure declares no frame.
-    fn read_licenses(&mut self, exprs: &[&Expr]) -> Vec<Formula> {
+    /// perform in `state`, against the current implementation's declared
+    /// `reads` frame. Empty when the procedure declares no frame.
+    fn read_licenses(&mut self, exprs: &[&Expr], state: &State) -> Vec<Formula> {
         let Some(reads) = self.reads.clone() else {
             return Vec::new();
         };
         let mut out = Vec::new();
         for expr in exprs {
-            for read in crate::translate::heap_reads(expr, &Term::store()) {
+            for read in crate::translate::heap_reads(expr, state) {
                 out.push(self.label(
                     ObligationKind::ReadsViolation,
                     read.span,
@@ -308,14 +588,14 @@ impl<'s> VcGen<'s> {
         out
     }
 
-    /// Generates the verification condition for one implementation.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`Diagnostic`] if the body uses an expression form the
-    /// translation does not support (a boolean operator in value
-    /// position).
-    pub fn vc_for_impl(&mut self, impl_id: ImplId) -> Result<Vc, Diagnostic> {
+    fn defined(&self, conditions: Vec<Formula>) -> impl Iterator<Item = Formula> {
+        let keep = self.options.null_checks;
+        conditions.into_iter().filter(move |_| keep)
+    }
+
+    /// Hypotheses and modifies list of one implementation: the scope
+    /// background, then `Init(m)`.
+    fn entry(&mut self, impl_id: ImplId) -> Result<Entry, Diagnostic> {
         let info = self.scope.impl_info(impl_id);
         let proc = self.scope.proc_info(info.proc);
         let params: Vec<Term> = proc.params.iter().map(Term::var).collect();
@@ -324,19 +604,15 @@ impl<'s> VcGen<'s> {
             .reads
             .as_ref()
             .map(|r| ModList::new(self.scope, r, &params));
+        self.fresh = self.background.fresh.clone();
+        self.labels.clear();
 
-        // The scope-level background (universal, scope-dependent, and — for
-        // the naive baseline — the unsound closed-world additions), via the
-        // named builder so axiom names align with hypothesis indices.
-        let mut hypotheses: Vec<Formula> = crate::background::named_background(
-            self.scope,
-            self.options.restrictions,
-            self.arrays,
-            &mut self.fresh,
-        )
-        .into_iter()
-        .map(|(_, f)| f)
-        .collect();
+        let mut hypotheses: Vec<Formula> = self
+            .background
+            .axioms
+            .iter()
+            .map(|(_, f, _)| f.clone())
+            .collect();
         let background_hyps = hypotheses.len();
         // Init(m): $ = $0, plus ownExcl and alive for each formal (5).
         hypotheses.push(Formula::eq(Term::store(), Term::store0()));
@@ -358,7 +634,7 @@ impl<'s> VcGen<'s> {
                 hypotheses.push(w.own_excl_leveled(
                     p,
                     &Term::store0(),
-                    self.arrays,
+                    self.background.arrays,
                     &mut self.fresh,
                 ));
             }
@@ -371,13 +647,21 @@ impl<'s> VcGen<'s> {
             let clause = self.invariant_clause(&inv.expr, &Term::store0(), true)?;
             hypotheses.push(clause);
         }
+        Ok(Entry {
+            proc_name: proc.name.clone(),
+            w,
+            hypotheses,
+            background_hyps,
+        })
+    }
 
-        let body = info.body.desugared();
-        self.labels.clear();
-        // Exit obligation: every invariant holds again in the final store.
+    /// The exit obligations in final store `store`: every invariant holds
+    /// again.
+    fn exit_obligations(&mut self, store: &Term) -> Result<Vec<Formula>, Diagnostic> {
+        let scope = self.scope;
         let mut post = Vec::new();
         for inv in scope.invariants() {
-            let clause = self.invariant_clause(&inv.expr, &Term::store(), false)?;
+            let clause = self.invariant_clause(&inv.expr, store, false)?;
             post.push(self.label(
                 ObligationKind::InvariantPreserved,
                 inv.span,
@@ -385,102 +669,179 @@ impl<'s> VcGen<'s> {
                 clause,
             ));
         }
-        let goal = self.wlp(&body, Formula::and(post), &w)?;
+        Ok(post)
+    }
+
+    /// Generates the verification condition for one implementation.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`Diagnostic`] if the body uses an expression form the
+    /// translation does not support (a boolean operator in value
+    /// position).
+    pub fn vc_for_impl(&mut self, impl_id: ImplId) -> Result<Vc, Diagnostic> {
+        let entry = self.entry(impl_id)?;
+        let body = self.scope.impl_info(impl_id).body.desugared();
+        let mut pass = Pass {
+            frames: vec![Frame::new(Guard::Top)],
+            state: State::initial(),
+            shared: 0,
+        };
+        self.forward(&body, &mut pass, &entry.w)?;
+        let store = pass.state.store;
+        for obligation in self.exit_obligations(&store)? {
+            pass.push(obligation);
+        }
         Ok(Vc {
             impl_id,
-            proc_name: proc.name.clone(),
-            hypotheses,
-            background_hyps,
-            goal,
+            proc_name: entry.proc_name,
+            hypotheses: entry.hypotheses,
+            background_hyps: entry.background_hyps,
+            goal: close_all(pass.frames, &mut pass.shared),
             labels: std::mem::take(&mut self.labels),
+            shared_continuations: pass.shared,
         })
     }
 
-    /// The weakest liberal precondition `wlp_{w,$0}(cmd, q)` (Figure 2).
-    pub fn wlp(&mut self, cmd: &Cmd, q: Formula, w: &ModList) -> Result<Formula, Diagnostic> {
+    /// The forward pass over a desugared command: appends its obligations
+    /// to `pass` and leaves `pass` at the command's end. Recursion follows
+    /// block and choice nesting; a sequence is a loop.
+    fn forward(&mut self, cmd: &Cmd, pass: &mut Pass, w: &ModList) -> Result<(), Diagnostic> {
+        match cmd {
+            Cmd::Seq(cmds) => {
+                for c in cmds {
+                    self.forward(c, pass, w)?;
+                }
+            }
+            Cmd::Var(x, body, _) => {
+                let name = Symbol::intern(&x.text);
+                pass.open(Guard::Forall(vec![name]));
+                let outer = pass.state.unbind(name);
+                self.forward(body, pass, w)?;
+                pass.state.rebind(name, outer);
+            }
+            Cmd::Choice(a, b) => self.choice(a, b, pass, w)?,
+            primitive => {
+                let step = self.step(primitive, &pass.state, w)?;
+                pass.apply(step);
+            }
+        }
+        Ok(())
+    }
+
+    /// `C₀ [] C₁`: both arms start from the same state and their
+    /// obligations are appended once each. Every local (and `$`) they
+    /// leave different gets a fresh join variable, defined on each arm's
+    /// exit by one equation, and the continuation is generated once,
+    /// under `exit₀ ∨ exit₁`. The disjunction carries [`JOIN_LABEL`], so
+    /// the prover splits it only once none of the goal's own clauses is
+    /// open.
+    fn choice(&mut self, a: &Cmd, b: &Cmd, pass: &mut Pass, w: &ModList) -> Result<(), Diagnostic> {
+        let start = pass.state.clone();
+        let base = pass.frames.len();
+        let mut run_arm = |arm: &Cmd, pass: &mut Pass| {
+            pass.state = start.clone();
+            pass.open(Guard::Top);
+            self.forward(arm, pass, w)?;
+            Ok::<_, Diagnostic>((pass.frames.split_off(base), pass.state.clone()))
+        };
+        let arms = [run_arm(a, pass)?, run_arm(b, pass)?];
+        let [(frames0, end0), (frames1, end1)] = &arms;
+
+        let mut joined = end0.clone();
+        let (mut vars, mut eqs0, mut eqs1) = (Vec::new(), Vec::new(), Vec::new());
+        let store = (Symbol::intern(STORE), end0.store, end1.store);
+        let locals = end0
+            .assigned_locals(end1)
+            .into_iter()
+            .map(|name| (name, end0.local(name), end1.local(name)));
+        for (name, v0, v1) in std::iter::once(store).chain(locals) {
+            if v0 != v1 {
+                let join = self.fresh.fresh(&format!("join_{name}"));
+                vars.push(join);
+                eqs0.push(Formula::eq(Term::var(join), v0));
+                eqs1.push(Formula::eq(Term::var(join), v1));
+                joined.assign(name, Term::var(join));
+            }
+        }
+        let exits = Formula::or(vec![
+            exit_condition(frames0, eqs0),
+            exit_condition(frames1, eqs1),
+        ]);
+
+        let [first, second] = arms.map(|(frames, _)| close_all(frames, &mut pass.shared));
+        pass.push(first);
+        pass.state = joined;
+        pass.open(Guard::Join {
+            vars,
+            guards: vec![Formula::labeled(JOIN_LABEL, exits)],
+        });
+        pass.top().trailer.push(second);
+        Ok(())
+    }
+
+    /// The contribution of one primitive command (not a sequence, block,
+    /// or choice), translated in `state`: Figure 2's rules, with
+    /// Figure 3's for calls.
+    fn step(&mut self, cmd: &Cmd, state: &State, w: &ModList) -> Result<Step, Diagnostic> {
         match cmd {
             Cmd::Assert(e, span) => {
-                let tr = tr_formula(e, &Term::store())?;
-                let reads = self.read_licenses(&[e]);
-                let condition = self.label(
+                let tr = tr_formula(e, state)?;
+                let mut checks = self.read_licenses(&[e], state);
+                checks.extend(self.defined(tr.defined));
+                checks.push(self.label(
                     ObligationKind::Assert,
                     *span,
                     "assert condition may not hold",
                     tr.formula,
-                );
-                Ok(Formula::and(
-                    reads
-                        .into_iter()
-                        .chain(self.defined(tr.defined))
-                        .chain([condition, q])
-                        .collect(),
-                ))
+                ));
+                Ok(Step {
+                    checks,
+                    effect: Effect::Nothing,
+                })
             }
             Cmd::Assume(e, _) => {
-                let tr = tr_formula(e, &Term::store())?;
-                let reads = self.read_licenses(&[e]);
-                Ok(Formula::and(
-                    reads
-                        .into_iter()
-                        .chain(self.defined(tr.defined))
-                        .chain([Formula::implies(tr.formula, q)])
-                        .collect(),
-                ))
+                let tr = tr_formula(e, state)?;
+                let mut checks = self.read_licenses(&[e], state);
+                checks.extend(self.defined(tr.defined));
+                Ok(Step {
+                    checks,
+                    effect: Effect::Assume(tr.formula),
+                })
             }
-            Cmd::Var(x, body, _) => {
-                let inner = self.wlp(body, q, w)?;
-                Ok(Formula::forall(vec![x.text.as_str().into()], vec![], inner))
-            }
-            Cmd::Seq(c0, c1) => {
-                let q1 = self.wlp(c1, q, w)?;
-                self.wlp(c0, q1, w)
-            }
-            Cmd::Choice(c0, c1) => {
-                let w0 = self.wlp(c0, q.clone(), w)?;
-                let w1 = self.wlp(c1, q, w)?;
-                Ok(Formula::and(vec![w0, w1]))
-            }
-            Cmd::Assign { lhs, rhs, span } => self.wlp_assign(lhs, rhs, q, w, *span),
-            Cmd::AssignNew { lhs, span } => self.wlp_assign_new(lhs, q, w, *span),
-            Cmd::Call { proc, args, span } => self.wlp_call(proc, args, q, w, *span),
-            Cmd::Skip(_) | Cmd::If { .. } => {
-                unreachable!("wlp is applied to desugared commands only")
+            Cmd::Assign { lhs, rhs, span } => self.assign(lhs, rhs, state, w, *span),
+            Cmd::AssignNew { lhs, span } => self.assign_new(lhs, state, w, *span),
+            Cmd::Call { proc, args, span } => self.call(proc, args, state, w, *span),
+            Cmd::Seq(_) | Cmd::Var(..) | Cmd::Choice(..) | Cmd::Skip(_) | Cmd::If { .. } => {
+                unreachable!("step is applied to desugared primitive commands only")
             }
         }
     }
 
-    fn defined(&self, conditions: Vec<Formula>) -> impl Iterator<Item = Formula> {
-        let keep = self.options.null_checks;
-        conditions.into_iter().filter(move |_| keep)
-    }
-
-    fn wlp_assign(
+    fn assign(
         &mut self,
         lhs: &Expr,
         rhs: &Expr,
-        q: Formula,
+        state: &State,
         w: &ModList,
         span: Span,
-    ) -> Result<Formula, Diagnostic> {
-        let r = tr_value(rhs, &Term::store())?;
+    ) -> Result<Step, Diagnostic> {
+        let r = tr_value(rhs, state)?;
         match lhs {
             // x := E  —  Q[x := tr(E)].
             Expr::Id(x) => {
-                let reads = self.read_licenses(&[rhs]);
-                let subst = q.subst(&[(x.text.as_str().into(), r.term)]);
-                Ok(Formula::and(
-                    reads
-                        .into_iter()
-                        .chain(self.defined(r.defined))
-                        .chain([subst])
-                        .collect(),
-                ))
+                let mut checks = self.read_licenses(&[rhs], state);
+                checks.extend(self.defined(r.defined));
+                Ok(Step {
+                    checks,
+                    effect: Effect::Assign(vec![(Symbol::intern(&x.text), r.term)]),
+                })
             }
             // E0.f := E1 — mod(tr(E0)·f, w, $0) ∧ Q[$ := $(tr(E0)·f := tr(E1))].
             Expr::Select { base, attr, .. } => {
-                let b = tr_value(base, &Term::store())?;
+                let b = tr_value(base, state)?;
                 let attr_term = Term::attr(attr.text.clone());
-                let reads = self.read_licenses(&[base, rhs]);
+                let mut checks = self.read_licenses(&[base, rhs], state);
                 let license = self.label(
                     ObligationKind::ModifiesViolation,
                     span,
@@ -490,32 +851,28 @@ impl<'s> VcGen<'s> {
                     ),
                     w.modifiable(&b.term, &attr_term, &Term::store0()),
                 );
-                let updated = Term::update(Term::store(), b.term, attr_term, r.term);
-                let subst = q.subst(&[(oolong_logic::STORE.into(), updated)]);
-                let defined: Vec<Formula> = b.defined.into_iter().chain(r.defined).collect();
-                let mut defined_with_target = defined;
-                defined_with_target.push(Formula::neq(b.term, Term::null()));
-                Ok(Formula::and(
-                    reads
-                        .into_iter()
-                        .chain(self.defined(defined_with_target))
-                        .chain([license, subst])
-                        .collect(),
-                ))
+                let updated = Term::update(state.store, b.term, attr_term, r.term);
+                let mut defined: Vec<Formula> = b.defined.into_iter().chain(r.defined).collect();
+                defined.push(Formula::neq(b.term, Term::null()));
+                checks.extend(self.defined(defined));
+                checks.push(license);
+                Ok(Step {
+                    checks,
+                    effect: Effect::Assign(vec![(Symbol::intern(STORE), updated)]),
+                })
             }
             // E0[I] := E1 — the slot analogue: mod(tr(E0)·tr(I), w, $0).
             Expr::Index { base, index, .. } => {
-                let b = tr_value(base, &Term::store())?;
-                let idx = tr_value(index, &Term::store())?;
-                let reads = self.read_licenses(&[base, index, rhs]);
+                let b = tr_value(base, state)?;
+                let idx = tr_value(index, state)?;
+                let mut checks = self.read_licenses(&[base, index, rhs], state);
                 let license = self.label(
                     ObligationKind::ModifiesViolation,
                     span,
                     "slot write not covered by modifies list",
                     w.modifiable(&b.term, &idx.term, &Term::store0()),
                 );
-                let updated = Term::update(Term::store(), b.term, idx.term, r.term);
-                let subst = q.subst(&[(oolong_logic::STORE.into(), updated)]);
+                let updated = Term::update(state.store, b.term, idx.term, r.term);
                 let mut defined: Vec<Formula> = b
                     .defined
                     .into_iter()
@@ -523,13 +880,12 @@ impl<'s> VcGen<'s> {
                     .chain(r.defined)
                     .collect();
                 defined.push(Formula::neq(b.term, Term::null()));
-                Ok(Formula::and(
-                    reads
-                        .into_iter()
-                        .chain(self.defined(defined))
-                        .chain([license, subst])
-                        .collect(),
-                ))
+                checks.extend(self.defined(defined));
+                checks.push(license);
+                Ok(Step {
+                    checks,
+                    effect: Effect::Assign(vec![(Symbol::intern(STORE), updated)]),
+                })
             }
             other => Err(Diagnostic::error(
                 "assignment target must be a variable or designator",
@@ -539,24 +895,28 @@ impl<'s> VcGen<'s> {
         }
     }
 
-    fn wlp_assign_new(
+    fn assign_new(
         &mut self,
         lhs: &Expr,
-        q: Formula,
+        state: &State,
         w: &ModList,
         span: Span,
-    ) -> Result<Formula, Diagnostic> {
+    ) -> Result<Step, Diagnostic> {
+        let store = state.store;
         match lhs {
             // x := new()  —  Q[x := new($), $ := $⁺] (parallel).
-            Expr::Id(x) => Ok(q.subst(&[
-                (x.text.as_str().into(), Term::new_obj(Term::store())),
-                (oolong_logic::STORE.into(), Term::succ(Term::store())),
-            ])),
+            Expr::Id(x) => Ok(Step {
+                checks: Vec::new(),
+                effect: Effect::Assign(vec![
+                    (Symbol::intern(&x.text), Term::new_obj(store)),
+                    (Symbol::intern(STORE), Term::succ(store)),
+                ]),
+            }),
             // E.f := new() — mod(tr(E)·f, w, $0) ∧ Q[$ := $⁺(tr(E)·f := new($))].
             Expr::Select { base, attr, .. } => {
-                let b = tr_value(base, &Term::store())?;
+                let b = tr_value(base, state)?;
                 let attr_term = Term::attr(attr.text.clone());
-                let reads = self.read_licenses(&[base]);
+                let mut checks = self.read_licenses(&[base], state);
                 let license = self.label(
                     ObligationKind::ModifiesViolation,
                     span,
@@ -566,50 +926,38 @@ impl<'s> VcGen<'s> {
                     ),
                     w.modifiable(&b.term, &attr_term, &Term::store0()),
                 );
-                let updated = Term::update(
-                    Term::succ(Term::store()),
-                    b.term,
-                    attr_term,
-                    Term::new_obj(Term::store()),
-                );
-                let subst = q.subst(&[(oolong_logic::STORE.into(), updated)]);
+                let updated =
+                    Term::update(Term::succ(store), b.term, attr_term, Term::new_obj(store));
                 let mut defined = b.defined;
                 defined.push(Formula::neq(b.term, Term::null()));
-                Ok(Formula::and(
-                    reads
-                        .into_iter()
-                        .chain(self.defined(defined))
-                        .chain([license, subst])
-                        .collect(),
-                ))
+                checks.extend(self.defined(defined));
+                checks.push(license);
+                Ok(Step {
+                    checks,
+                    effect: Effect::Assign(vec![(Symbol::intern(STORE), updated)]),
+                })
             }
             // E[I] := new() — the slot analogue.
             Expr::Index { base, index, .. } => {
-                let b = tr_value(base, &Term::store())?;
-                let idx = tr_value(index, &Term::store())?;
-                let reads = self.read_licenses(&[base, index]);
+                let b = tr_value(base, state)?;
+                let idx = tr_value(index, state)?;
+                let mut checks = self.read_licenses(&[base, index], state);
                 let license = self.label(
                     ObligationKind::ModifiesViolation,
                     span,
                     "allocation into slot not covered by modifies list",
                     w.modifiable(&b.term, &idx.term, &Term::store0()),
                 );
-                let updated = Term::update(
-                    Term::succ(Term::store()),
-                    b.term,
-                    idx.term,
-                    Term::new_obj(Term::store()),
-                );
-                let subst = q.subst(&[(oolong_logic::STORE.into(), updated)]);
+                let updated =
+                    Term::update(Term::succ(store), b.term, idx.term, Term::new_obj(store));
                 let mut defined: Vec<Formula> = b.defined.into_iter().chain(idx.defined).collect();
                 defined.push(Formula::neq(b.term, Term::null()));
-                Ok(Formula::and(
-                    reads
-                        .into_iter()
-                        .chain(self.defined(defined))
-                        .chain([license, subst])
-                        .collect(),
-                ))
+                checks.extend(self.defined(defined));
+                checks.push(license);
+                Ok(Step {
+                    checks,
+                    effect: Effect::Assign(vec![(Symbol::intern(STORE), updated)]),
+                })
             }
             other => Err(Diagnostic::error(
                 "allocation target must be a variable or designator",
@@ -620,23 +968,24 @@ impl<'s> VcGen<'s> {
     }
 
     /// The method-call rule (Figure 3).
-    fn wlp_call(
+    fn call(
         &mut self,
         proc: &oolong_syntax::Ident,
         args: &[Expr],
-        q: Formula,
+        state: &State,
         w: &ModList,
         span: Span,
-    ) -> Result<Formula, Diagnostic> {
+    ) -> Result<Step, Diagnostic> {
         let Some(callee_id) = self.scope.proc(&proc.text) else {
             return Err(Diagnostic::error(
                 format!("call to undeclared procedure `{}`", proc.text),
                 span,
             ));
         };
+        let store = state.store;
         let callee = self.scope.proc_info(callee_id).clone();
         // Caller's read frame licenses the evaluation of the actuals.
-        let arg_reads = self.read_licenses(&args.iter().collect::<Vec<_>>());
+        let mut checks = self.read_licenses(&args.iter().collect::<Vec<_>>(), state);
 
         // Fresh sᵢ bound to the actuals.
         let si: Vec<Symbol> = callee
@@ -648,10 +997,11 @@ impl<'s> VcGen<'s> {
         let mut equalities = Vec::new();
         let mut defined = Vec::new();
         for (s, arg) in si_terms.iter().zip(args.iter()) {
-            let a = tr_value(arg, &Term::store())?;
+            let a = tr_value(arg, state)?;
             defined.extend(a.defined);
             equalities.push(Formula::eq(*s, a.term));
         }
+        checks.extend(self.defined(defined));
         // ws: the callee's modifies list with formals replaced by sᵢ.
         let ws = ModList::new(self.scope, &callee.modifies, &si_terms);
 
@@ -659,7 +1009,7 @@ impl<'s> VcGen<'s> {
         // current store, against w evaluated in $0).
         let mut obligations = Vec::new();
         for (target, entry) in callee.modifies.iter().zip(ws.entries()) {
-            let (obj, attr) = entry.location(&Term::store());
+            let (obj, attr) = entry.location(&store);
             let license = self.label(
                 ObligationKind::ModifiesViolation,
                 span,
@@ -679,7 +1029,7 @@ impl<'s> VcGen<'s> {
         if let (Some(reads), Some(callee_reads)) = (self.reads.clone(), callee.reads.as_ref()) {
             let rs = ModList::new(self.scope, callee_reads, &si_terms);
             for (target, entry) in callee_reads.iter().zip(rs.entries()) {
-                let (obj, attr) = entry.location(&Term::store());
+                let (obj, attr) = entry.location(&store);
                 let license = self.label(
                     ObligationKind::ReadsViolation,
                     span,
@@ -697,7 +1047,7 @@ impl<'s> VcGen<'s> {
         // callee (the callee assumes it on entry, as this VC did at $0).
         let scope = self.scope;
         for inv in scope.invariants() {
-            let clause = self.invariant_clause(&inv.expr, &Term::store(), false)?;
+            let clause = self.invariant_clause(&inv.expr, &store, false)?;
             obligations.push(self.label(
                 ObligationKind::InvariantPreserved,
                 span,
@@ -711,7 +1061,8 @@ impl<'s> VcGen<'s> {
         // Owner exclusion for every parameter value.
         if self.options.restrictions {
             for (i, s) in si_terms.iter().enumerate() {
-                let own_excl = ws.own_excl_leveled(s, &Term::store(), self.arrays, &mut self.fresh);
+                let own_excl =
+                    ws.own_excl_leveled(s, &store, self.background.arrays, &mut self.fresh);
                 obligations.push(self.label(
                     ObligationKind::OwnerExclusion,
                     span,
@@ -725,62 +1076,52 @@ impl<'s> VcGen<'s> {
             }
         }
 
-        // Frame: ∀$' :: alive-monotone ∧ per-location change license ⇒ Q[$ := $'].
+        // Frame: alive-monotone ∧ per-location change license ∧ the
+        // callee's preserved invariants, over the post store.
         let post_store = self.fresh.fresh("post");
         let post = Term::var(post_store);
-        let frame = {
-            let xv = self.fresh.fresh("frX");
-            let alive_pre = Atom::Alive(Term::store(), Term::var(xv));
-            let alive_post = Atom::Alive(post, Term::var(xv));
-            let alive_mono = Formula::forall(
-                vec![xv],
-                vec![
-                    Trigger(vec![Pattern::Atom(alive_pre)]),
-                    Trigger(vec![Pattern::Atom(alive_post)]),
-                ],
-                Formula::implies(Formula::Atom(alive_pre), Formula::Atom(alive_post)),
-            );
-            let xv2 = self.fresh.fresh("frX");
-            let fv = self.fresh.fresh("frF");
-            let pre_read = Term::select(Term::store(), Term::var(xv2), Term::var(fv));
-            let post_read = Term::select(post, Term::var(xv2), Term::var(fv));
-            let change_licensed = Formula::forall(
-                vec![xv2, fv],
-                vec![
-                    Trigger(vec![Pattern::Term(pre_read)]),
-                    Trigger(vec![Pattern::Term(post_read)]),
-                ],
-                Formula::or(vec![
-                    Formula::eq(pre_read, post_read),
-                    ws.modifiable(&Term::var(xv2), &Term::var(fv), &Term::store()),
-                ]),
-            );
-            let q_post = q.subst(&[(oolong_logic::STORE.into(), post)]);
-            // The callee preserved every declared invariant: assume them
-            // in the post store (mirroring the exit obligation its own VC
-            // carries).
-            let mut antecedent = vec![alive_mono, change_licensed];
-            for inv in scope.invariants() {
-                antecedent.push(self.invariant_clause(&inv.expr, &post, true)?);
-            }
-            Formula::forall(
-                vec![post_store],
-                vec![],
-                Formula::implies(Formula::and(antecedent), q_post),
-            )
-        };
-
-        let body = Formula::implies(
-            Formula::and(equalities),
-            Formula::and(obligations.into_iter().chain([frame]).collect()),
+        let xv = self.fresh.fresh("frX");
+        let alive_pre = Atom::Alive(store, Term::var(xv));
+        let alive_post = Atom::Alive(post, Term::var(xv));
+        let alive_mono = Formula::forall(
+            vec![xv],
+            vec![
+                Trigger(vec![Pattern::Atom(alive_pre)]),
+                Trigger(vec![Pattern::Atom(alive_post)]),
+            ],
+            Formula::implies(Formula::Atom(alive_pre), Formula::Atom(alive_post)),
         );
-        Ok(Formula::and(
-            arg_reads
-                .into_iter()
-                .chain(self.defined(defined))
-                .chain([Formula::forall(si, vec![], body)])
-                .collect(),
-        ))
+        let xv2 = self.fresh.fresh("frX");
+        let fv = self.fresh.fresh("frF");
+        let pre_read = Term::select(store, Term::var(xv2), Term::var(fv));
+        let post_read = Term::select(post, Term::var(xv2), Term::var(fv));
+        let change_licensed = Formula::forall(
+            vec![xv2, fv],
+            vec![
+                Trigger(vec![Pattern::Term(pre_read)]),
+                Trigger(vec![Pattern::Term(post_read)]),
+            ],
+            Formula::or(vec![
+                Formula::eq(pre_read, post_read),
+                ws.modifiable(&Term::var(xv2), &Term::var(fv), &store),
+            ]),
+        );
+        // The callee preserved every declared invariant: assume them in the
+        // post store (mirroring the exit obligation its own VC carries).
+        let mut frame = vec![alive_mono, change_licensed];
+        for inv in scope.invariants() {
+            frame.push(self.invariant_clause(&inv.expr, &post, true)?);
+        }
+        Ok(Step {
+            checks,
+            effect: Effect::Call {
+                args: si,
+                equalities: Formula::and(equalities),
+                obligations,
+                post: post_store,
+                frame: Formula::and(frame),
+            },
+        })
     }
 }
 
@@ -793,7 +1134,7 @@ fn entry_desc(params: &[String], target: &oolong_sema::ModTarget, entry: &ModEnt
 
 /// Whether the scope opts into the arrays language level: it declares an
 /// elementwise rep inclusion or some implementation uses index syntax.
-pub(crate) fn scope_uses_arrays(scope: &Scope) -> bool {
+fn scope_uses_arrays(scope: &Scope) -> bool {
     if !scope.rep_elem_triples().is_empty() {
         return true;
     }
@@ -837,7 +1178,8 @@ mod tests {
     fn check_src_with(src: &str, proc_name: &str, opts: VcOptions, budget: &Budget) -> Outcome {
         let program = parse_program(src).expect("parses");
         let scope = Scope::analyze(&program).expect("analyses");
-        let mut gen = VcGen::new(&scope, opts);
+        let background = Background::new(&scope, &opts);
+        let mut gen = VcGen::new(&scope, &background, opts);
         let (impl_id, _) = scope
             .impls()
             .find(|(_, i)| scope.proc_info(i.proc).name == proc_name)
@@ -1257,7 +1599,8 @@ mod tests {
     fn vc_seeds_reflexive_inclusions() {
         let program = parse_program("group g proc p(t) modifies t.g impl p(t) { skip }").unwrap();
         let scope = Scope::analyze(&program).unwrap();
-        let mut gen = VcGen::new(&scope, VcOptions::default());
+        let background = Background::new(&scope, &VcOptions::default());
+        let mut gen = VcGen::new(&scope, &background, VcOptions::default());
         let (impl_id, _) = scope.impls().next().unwrap();
         let vc = gen.vc_for_impl(impl_id).unwrap();
         let reflexive = Formula::Atom(Atom::Inc {
@@ -1274,10 +1617,139 @@ mod tests {
     fn vc_size_is_positive() {
         let program = parse_program("proc p(t) impl p(t) { skip }").unwrap();
         let scope = Scope::analyze(&program).unwrap();
-        let mut gen = VcGen::new(&scope, VcOptions::default());
+        let background = Background::new(&scope, &VcOptions::default());
+        let mut gen = VcGen::new(&scope, &background, VcOptions::default());
         let (impl_id, _) = scope.impls().next().unwrap();
         let vc = gen.vc_for_impl(impl_id).unwrap();
         assert!(vc.size() > 10);
         assert_eq!(vc.proc_name, "p");
+    }
+
+    /// The forward and oracle VCs of the (single) implementation in `src`.
+    fn both_vcs(src: &str) -> (Vc, Vc) {
+        let program = parse_program(src).expect("parses");
+        let scope = Scope::analyze(&program).expect("analyses");
+        let background = Background::new(&scope, &VcOptions::default());
+        let (impl_id, _) = scope.impls().next().expect("one impl");
+        let forward = VcGen::new(&scope, &background, VcOptions::default())
+            .vc_for_impl(impl_id)
+            .unwrap();
+        let oracle = VcGen::new(&scope, &background, VcOptions::default())
+            .oracle_vc_for_impl(impl_id)
+            .unwrap();
+        (forward, oracle)
+    }
+
+    #[test]
+    fn choice_free_body_matches_the_oracle() {
+        let (forward, oracle) = both_vcs(
+            "group g field f in g invariant this.f = 0
+             proc callee(u) modifies u.g
+             proc p(t) modifies t.g
+             impl p(t) {
+               assume t != null ; assume t.f = 0 ;
+               var x in x := t.f ; t.f := x + 1 ; x := new() ; callee(t) ;
+                 assume x != null ; t.f := 0
+               end
+             }",
+        );
+        assert_eq!(forward.shared_continuations, 0);
+        assert_eq!(forward.hypotheses, oracle.hypotheses);
+        let renaming = oracle::alpha_equivalent(&forward.goal, &oracle.goal)
+            .expect("forward goal is the oracle's up to renaming");
+        assert_eq!(renaming.len(), forward.labels.len());
+        // Labels number in program order: the exit obligation comes last.
+        let last = forward.labels.last().unwrap();
+        assert_eq!(last.kind, ObligationKind::InvariantPreserved);
+
+        // A choice with nothing after it joins nothing.
+        let (forward, oracle) = both_vcs(
+            "group g field f in g proc p(t) modifies t.g
+             impl p(t) { assume t != null ; { t.f := 1 [] assume t.f = 2 ; t.f := 3 } }",
+        );
+        assert_eq!(forward.shared_continuations, 0);
+        assert!(oracle::alpha_equivalent(&forward.goal, &oracle.goal).is_some());
+    }
+
+    /// How many labelled subformulas `f` contains.
+    fn labelled(f: &Formula) -> usize {
+        match f {
+            Formula::Labeled(_, body) => 1 + labelled(body),
+            Formula::Not(p) => labelled(p),
+            Formula::And(ps) | Formula::Or(ps) => ps.iter().map(labelled).sum(),
+            Formula::Implies(p, q) | Formula::Iff(p, q) => labelled(p) + labelled(q),
+            Formula::Forall(_, _, b) | Formula::Exists(_, _, b) => labelled(b),
+            Formula::True | Formula::False | Formula::Atom(_) => 0,
+        }
+    }
+
+    #[test]
+    fn choice_with_continuation_shares_it() {
+        let src = "proc p(t) impl p(t) {
+                     var x in { x := 1 [] x := 2 } ; assert x > 0 ; assert x > 0 end
+                   }";
+        let (forward, oracle) = both_vcs(src);
+        assert_eq!(forward.shared_continuations, 1);
+        // The oracle repeats the two asserts once per arm; the forward
+        // goal states them once, plus the join's exit disjunction.
+        assert_eq!(labelled(&oracle.goal), 4);
+        assert_eq!(labelled(&forward.goal), 3);
+        assert_eq!(check_src(src, "p"), Outcome::Proved);
+        assert_eq!(
+            check_src(
+                "proc p(t) impl p(t) {
+                   var x in { x := 1 [] x := 2 } ; assert x = 2 end
+                 }",
+                "p"
+            ),
+            Outcome::NotProved
+        );
+    }
+
+    #[test]
+    fn join_keeps_arm_assumptions() {
+        // Only the `then` arm assumes t != null; the continuation's assert
+        // needs it on that path and gets x = 0 on the other.
+        assert_eq!(
+            check_src(
+                "proc p(t) impl p(t) {
+                   var x in
+                     if t = null then x := 0 else x := 1 end ;
+                     assert x = 0 || t != null
+                   end
+                 }",
+                "p"
+            ),
+            Outcome::Proved
+        );
+        assert_eq!(
+            check_src(
+                "proc p(t) impl p(t) {
+                   var x in
+                     if t = null then x := 0 else x := 1 end ;
+                     assert x = 0
+                   end
+                 }",
+                "p"
+            ),
+            Outcome::NotProved
+        );
+    }
+
+    #[test]
+    fn sequential_choices_grow_the_goal_linearly() {
+        let source = |k: usize| {
+            let mut body = String::from("assume t != null");
+            for i in 0..k {
+                body += &format!(" ; {{ t.f := {i} [] t.f := {} }}", i + 1);
+            }
+            format!("group g field f in g proc p(t) modifies t.g impl p(t) {{ {body} ; assert t.f > 0 }}")
+        };
+        let goal = |k| both_vcs(&source(k)).0.goal.size();
+        let (g8, g16) = (goal(8), goal(16));
+        assert!(
+            g16 <= 2 * g8 + 8,
+            "goal size {g8} at k = 8, {g16} at k = 16"
+        );
     }
 }

@@ -78,8 +78,17 @@ use std::str::FromStr;
 /// sliced background would replay the old registration telemetry as if
 /// it were current. Same migration by miss.
 ///
+/// Version 8: VCs come from one forward pass instead of the backward
+/// substitution `wlp`. Label ids now follow program order (the exit
+/// obligations used to allocate first and commands in reverse), so a v7
+/// entry's refutation labels would name other obligations. A choice
+/// followed by more work now shares that continuation between its arms
+/// under join variables, and the prover's split order reads the join
+/// marker, so v7 verdicts and telemetry for such bodies are stale. Same
+/// migration by miss.
+///
 /// [`PatternPolicy`]: oolong_logic::PatternPolicy
-pub const FINGERPRINT_VERSION: u32 = 7;
+pub const FINGERPRINT_VERSION: u32 = 8;
 
 /// The content address of one proof obligation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -251,8 +260,8 @@ mod tests {
         // shifting bytes would orphan (or worse, mis-serve) disk caches.
         let vcs = vcs_for(BASE);
         let fingerprint = fp(&vcs[0], &Budget::default());
-        assert_eq!(fingerprint.to_string(), PINNED_V7);
+        assert_eq!(fingerprint.to_string(), PINNED_V8);
     }
 
-    const PINNED_V7: &str = "50765bd87e9c1301d6cfc5d50b371fc3";
+    const PINNED_V8: &str = "c59d8473a8538492772eb2fea4d51fc3";
 }

@@ -453,7 +453,12 @@ pub fn collect_events(params: &[String], body: &Cmd) -> BodyEvents {
                     self.walk(body);
                     self.env.pop();
                 }
-                Cmd::Seq(a, b) | Cmd::Choice(a, b) => {
+                Cmd::Seq(cs) => {
+                    for c in cs {
+                        self.walk(c);
+                    }
+                }
+                Cmd::Choice(a, b) => {
                     self.walk(a);
                     self.walk(b);
                 }

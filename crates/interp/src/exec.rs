@@ -355,9 +355,11 @@ impl<'s, O: Oracle> Interp<'s, O> {
                 env.pop();
                 result
             }
-            Cmd::Seq(a, b) => {
-                self.exec(a, env, depth)?;
-                self.exec(b, env, depth)
+            Cmd::Seq(cs) => {
+                for c in cs {
+                    self.exec(c, env, depth)?;
+                }
+                Ok(())
             }
             Cmd::Choice(a, b) => {
                 if self.oracle.choose(2) == 0 {

@@ -246,6 +246,14 @@ fn subst_triggers(
         .collect()
 }
 
+/// The position label reserved for the exit disjunction of a choice whose
+/// arms join before one shared continuation. It marks no obligation: the
+/// prover never records it on a branch, and it defers splitting a
+/// disjunction whose arms carry it while any of the goal's own clauses is
+/// still open, so a branch that closes on an obligation never enumerates
+/// the paths leading to it.
+pub const JOIN_LABEL: u32 = u32::MAX;
+
 /// A first-order formula.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Formula {
@@ -385,8 +393,9 @@ impl Formula {
         }
     }
 
-    /// Strips every [`Formula::Labeled`] wrapper, returning the logically
-    /// identical unlabelled formula.
+    /// Strips every position label, returning the logically identical
+    /// unlabelled formula. The join marker [`JOIN_LABEL`] is kept: it
+    /// names no obligation, and the prover's split order reads it.
     #[must_use]
     pub fn strip_labels(&self) -> Formula {
         match self {
@@ -412,6 +421,9 @@ impl Formula {
                 triggers.clone(),
                 Box::new(body.strip_labels()),
             ),
+            Formula::Labeled(JOIN_LABEL, body) => {
+                Formula::Labeled(JOIN_LABEL, Box::new(body.strip_labels()))
+            }
             Formula::Labeled(_, body) => body.strip_labels(),
         }
     }
@@ -618,6 +630,7 @@ impl fmt::Display for Formula {
                 write_vars(f, vars)?;
                 write!(f, " :: {body})")
             }
+            Formula::Labeled(JOIN_LABEL, body) => write!(f, "⟨join: {body}⟩"),
             Formula::Labeled(id, body) => write!(f, "⟨L{id}: {body}⟩"),
         }
     }
@@ -734,6 +747,26 @@ mod tests {
             Formula::labeled(3, Formula::eq(Term::var("y"), Term::int(1)))
         );
         assert_eq!(labelled.to_string(), "⟨L3: x = 1⟩");
+    }
+
+    #[test]
+    fn join_marker_survives_label_stripping() {
+        let exit = Formula::or(vec![
+            Formula::eq(Term::var("j"), Term::int(1)),
+            Formula::eq(Term::var("j"), Term::int(2)),
+        ]);
+        let joined = Formula::implies(
+            Formula::labeled(JOIN_LABEL, exit.clone()),
+            Formula::labeled(0, Formula::eq(Term::var("j"), Term::var("k"))),
+        );
+        assert_eq!(
+            joined.strip_labels(),
+            Formula::implies(
+                Formula::labeled(JOIN_LABEL, exit),
+                Formula::eq(Term::var("j"), Term::var("k"))
+            )
+        );
+        assert!(joined.to_string().starts_with("(⟨join: "));
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod stable_hash;
 pub mod term;
 pub mod transform;
 
-pub use formula::{Atom, Formula, Pattern, Trigger};
+pub use formula::{Atom, Formula, Pattern, Trigger, JOIN_LABEL};
 pub use intern::Symbol;
 pub use policy::{PatternPolicy, Phase};
 pub use stable_hash::{stable_hash128, StableHasher};

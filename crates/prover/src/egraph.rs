@@ -518,6 +518,11 @@ impl EGraph {
         self.current_gen = gen;
     }
 
+    /// The generation stamped onto classes created from now on.
+    pub fn generation(&self) -> u32 {
+        self.current_gen
+    }
+
     /// The matching generation of a class (see `set_generation`).
     pub fn class_gen(&self, id: NodeId) -> u32 {
         self.classes[&self.find(id)].gen

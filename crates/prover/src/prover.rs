@@ -25,7 +25,7 @@ use crate::egraph::{EGraph, NodeId};
 use crate::matcher::{match_trigger, match_trigger_anchored, term_of};
 use crate::triggers::{classify_quant, infer_triggers, QuantKind};
 use oolong_logic::transform::{to_nnf, FreshGen, Nnf};
-use oolong_logic::{Atom, Formula, Phase, Symbol, Term, Trigger};
+use oolong_logic::{Atom, Formula, Phase, Symbol, Term, Trigger, JOIN_LABEL};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -1088,6 +1088,8 @@ struct SplitClause {
     live: Vec<bool>,
     /// Number of `true` entries in `live`.
     live_count: usize,
+    /// Every arm is a choice's exit condition (stamped [`JOIN_LABEL`]).
+    join: bool,
 }
 
 impl SplitClause {
@@ -1095,11 +1097,45 @@ impl SplitClause {
         let live = vec![true; arms.len()];
         let live_count = arms.len();
         SplitClause {
+            join: !arms.is_empty() && arms.iter().all(is_join_arm),
             arms,
             gen,
             live,
             live_count,
         }
+    }
+}
+
+/// Whether every arm is the same literal (up to its position label).
+fn same_literal(arms: &[Nnf]) -> bool {
+    let key = |arm: &Nnf| match arm {
+        Nnf::Lit { atom, positive, .. } => Some((*atom, *positive)),
+        _ => None,
+    };
+    match arms.split_first() {
+        Some((first, rest)) => {
+            let first = key(first);
+            first.is_some() && rest.iter().all(|arm| key(arm) == first)
+        }
+        None => false,
+    }
+}
+
+/// Whether a disjunction arm is a choice's exit condition: its literals
+/// (or, for a conjunction, its top-level literals) carry [`JOIN_LABEL`].
+fn is_join_arm(arm: &Nnf) -> bool {
+    let join_lit = |n: &Nnf| {
+        matches!(
+            n,
+            Nnf::Lit {
+                label: Some(JOIN_LABEL),
+                ..
+            }
+        )
+    };
+    match arm {
+        Nnf::And(parts) => parts.iter().any(join_lit),
+        other => join_lit(other),
     }
 }
 
@@ -1421,6 +1457,10 @@ fn drain_pending(ctx: &mut Ctx, shared: &mut Shared) -> Step {
             Nnf::True => {}
             Nnf::False => return Step::Conflict,
             Nnf::And(parts) => ctx.pending.extend(parts.into_iter().map(|p| (p, gen))),
+            Nnf::Or(mut parts) if same_literal(&parts) => {
+                // `l ∨ l ∨ …`: one literal under several labels is a unit.
+                ctx.pending.push((parts.swap_remove(0), gen));
+            }
             Nnf::Or(parts) => {
                 shared.stats.clauses += 1;
                 ctx.add_split(SplitClause::new(parts, gen));
@@ -1430,7 +1470,7 @@ fn drain_pending(ctx: &mut Ctx, shared: &mut Shared) -> Step {
                 positive,
                 label,
             } => {
-                if let Some(id) = label {
+                if let Some(id) = label.filter(|&id| id != JOIN_LABEL) {
                     ctx.labels.push(id);
                 }
                 ctx.eg.set_generation(gen);
@@ -1660,6 +1700,10 @@ fn normalize_splits(ctx: &mut Ctx) -> Step {
     while i < ctx.splits.len() {
         let mut satisfied = false;
         let arm_count = ctx.splits[i].arms.len();
+        // A join's exit equations are goal terms: intern them at the
+        // clause's generation, not at whatever instance was asserted last,
+        // so reasoning along a chain of joins is not deferred.
+        let join_gen = ctx.splits[i].join.then_some(ctx.splits[i].gen);
         for k in 0..arm_count {
             if !ctx.splits[i].live[k] {
                 continue;
@@ -1674,7 +1718,16 @@ fn normalize_splits(ctx: &mut Ctx) -> Step {
                     atom,
                     positive,
                     label,
-                } => (lit_truth(&mut ctx.eg, atom, *positive), *label),
+                } => match join_gen {
+                    Some(gen) => {
+                        let current = ctx.eg.generation();
+                        ctx.eg.set_generation(gen);
+                        let truth = lit_truth(&mut ctx.eg, atom, *positive);
+                        ctx.eg.set_generation(current);
+                        (truth, *label)
+                    }
+                    None => (lit_truth(&mut ctx.eg, atom, *positive), *label),
+                },
                 _ => (None, None),
             };
             ctx.splits[i].arms[k] = arm;
@@ -1682,7 +1735,7 @@ fn normalize_splits(ctx: &mut Ctx) -> Step {
                 Some(true) => {
                     // A labelled literal that already holds on the branch
                     // still stamps the branch with its position.
-                    if let Some(id) = label {
+                    if let Some(id) = label.filter(|&id| id != JOIN_LABEL) {
                         ctx.labels.push(id);
                     }
                     satisfied = true;
@@ -1717,12 +1770,27 @@ fn normalize_splits(ctx: &mut Ctx) -> Step {
     Step::Ok
 }
 
+/// The clause to split next: the fewest live arms, then the oldest
+/// generation. While a choice's join disjunction is open, the goal's own
+/// clauses (generation 0: the obligations and the disjunctions around
+/// them) go first, so a branch refutes or closes each obligation before it
+/// enumerates the paths that reach it. Without a join — every VC of a
+/// choice-free body — the order is the plain one.
 fn pick_split(ctx: &Ctx) -> Option<usize> {
-    ctx.splits
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, clause)| (clause.live_count, clause.gen))
-        .map(|(i, _)| i)
+    let best = |eligible: &dyn Fn(&SplitClause) -> bool| {
+        ctx.splits
+            .iter()
+            .enumerate()
+            .filter(|(_, clause)| eligible(clause))
+            .min_by_key(|(_, clause)| (clause.live_count, clause.gen))
+            .map(|(i, _)| i)
+    };
+    if ctx.splits.iter().any(|clause| clause.join) {
+        if let Some(goal) = best(&|clause| clause.gen == 0 && !clause.join) {
+            return Some(goal);
+        }
+    }
+    best(&|_| true)
 }
 
 enum InstResult {
@@ -2397,6 +2465,62 @@ mod tests {
         let iff = F::Iff(Box::new(p.clone()), Box::new(q.clone()));
         assert!(proved(&[iff.clone(), q.clone()], &p));
         assert!(proved(&[iff, F::not(p.clone())], &F::not(q)));
+    }
+
+    #[test]
+    fn repeated_literal_disjunction_is_a_unit() {
+        // ¬(⟨L0: a = 1⟩ ∧ ⟨L1: a = 1⟩) is `a ≠ 1 ∨ a ≠ 1`: no case split,
+        // and the refutation blames the first label.
+        let obligation = |id| F::labeled(id, F::eq(T::var("a"), T::int(1)));
+        let proof = prove(
+            &[],
+            &F::and(vec![obligation(0), obligation(1)]),
+            &Budget::default(),
+        );
+        assert_eq!(proof.outcome, Outcome::NotProved);
+        assert_eq!(proof.stats.branches, 0);
+        assert_eq!(proof.model.expect("refutation model").labels, vec![0]);
+    }
+
+    #[test]
+    fn join_waits_for_the_goal_clauses() {
+        // ∀j :: (j = 1 ∨ j = 2) ⇒
+        //     (⟨L0: b = 1 ∨ d = 1⟩ ∧ ⟨L1: c = 1 ∨ e = 1⟩ ∧ ⟨L2: j ≠ 0⟩)
+        // with b = c = 1 known. The negated goal clause has three arms and
+        // the join two, so the plain order would split the join first and
+        // the goal clause under each of its arms (6 branches); goal
+        // clauses first, each obligation closes in one branch and the
+        // join is never split.
+        let j = || T::var("j");
+        let exits = F::or(vec![F::eq(j(), T::int(1)), F::eq(j(), T::int(2))]);
+        let goal = F::forall(
+            vec!["j".into()],
+            vec![],
+            F::implies(
+                F::labeled(JOIN_LABEL, exits),
+                F::and(vec![
+                    F::labeled(
+                        0,
+                        F::or(vec![
+                            F::eq(T::var("b"), T::int(1)),
+                            F::eq(T::var("d"), T::int(1)),
+                        ]),
+                    ),
+                    F::labeled(
+                        1,
+                        F::or(vec![
+                            F::eq(T::var("c"), T::int(1)),
+                            F::eq(T::var("e"), T::int(1)),
+                        ]),
+                    ),
+                    F::labeled(2, F::neq(j(), T::int(0))),
+                ]),
+            ),
+        );
+        let known = [F::eq(T::var("b"), T::int(1)), F::eq(T::var("c"), T::int(1))];
+        let proof = prove(&known, &goal, &Budget::default());
+        assert!(proof.is_proved());
+        assert_eq!(proof.stats.branches, 3, "one branch per obligation");
     }
 
     #[test]

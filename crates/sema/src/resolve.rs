@@ -59,7 +59,12 @@ impl Env<'_> {
                 self.cmd(body);
                 self.locals.pop();
             }
-            Cmd::Seq(a, b) | Cmd::Choice(a, b) => {
+            Cmd::Seq(cs) => {
+                for c in cs {
+                    self.cmd(c);
+                }
+            }
+            Cmd::Choice(a, b) => {
                 self.cmd(a);
                 self.cmd(b);
             }

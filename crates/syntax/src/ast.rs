@@ -271,8 +271,11 @@ pub enum Cmd {
     Assign { lhs: Expr, rhs: Expr, span: Span },
     /// `E := new()` — allocation.
     AssignNew { lhs: Expr, span: Span },
-    /// `C ; D` — sequential composition.
-    Seq(Box<Cmd>, Box<Cmd>),
+    /// `C1 ; C2 ; ... ; Cn` — sequential composition, kept flat: an
+    /// element is never itself a `Seq` and there are at least two (build
+    /// through [`Cmd::seq`]). Every pass iterates it, so no walk recurses
+    /// as deep as a body's statement count.
+    Seq(Vec<Cmd>),
     /// `C [] D` — nondeterministic choice.
     Choice(Box<Cmd>, Box<Cmd>),
     /// `p(E1, ..., En)` — procedure call, dispatched to an arbitrary
@@ -305,7 +308,32 @@ impl Cmd {
             | Cmd::Call { span: s, .. }
             | Cmd::Skip(s)
             | Cmd::If { span: s, .. } => *s,
-            Cmd::Seq(a, b) | Cmd::Choice(a, b) => a.span().to(b.span()),
+            Cmd::Seq(cs) => match (cs.first(), cs.last()) {
+                (Some(a), Some(b)) => a.span().to(b.span()),
+                _ => Span::DUMMY,
+            },
+            Cmd::Choice(a, b) => a.span().to(b.span()),
+        }
+    }
+
+    /// Sequential composition of `parts`, flattened: nested sequences are
+    /// spliced in, and a single command is returned as itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parts` is empty.
+    pub fn seq(parts: impl IntoIterator<Item = Cmd>) -> Cmd {
+        let mut flat = Vec::new();
+        for part in parts {
+            match part {
+                Cmd::Seq(inner) => flat.extend(inner),
+                other => flat.push(other),
+            }
+        }
+        match flat.len() {
+            0 => panic!("Cmd::seq of no commands"),
+            1 => flat.pop().expect("len checked"),
+            _ => Cmd::Seq(flat),
         }
     }
 
@@ -333,14 +361,11 @@ impl Cmd {
                 // The synthesised assumes carry the *condition's* span, not
                 // the whole `if` command's, so downstream diagnostics point
                 // at the guard rather than the entire statement.
-                let else_arm = Cmd::Seq(
-                    Box::new(Cmd::Assume(neg, cond.span())),
-                    Box::new(else_branch.desugared()),
-                );
-                let then_arm = Cmd::Seq(
-                    Box::new(Cmd::Assume(cond.clone(), cond.span())),
-                    Box::new(then_branch.desugared()),
-                );
+                let else_arm = Cmd::seq([Cmd::Assume(neg, cond.span()), else_branch.desugared()]);
+                let then_arm = Cmd::seq([
+                    Cmd::Assume(cond.clone(), cond.span()),
+                    then_branch.desugared(),
+                ]);
                 Cmd::Choice(Box::new(else_arm), Box::new(then_arm))
             }
             Cmd::Assert(e, s) => Cmd::Assert(e.clone(), *s),
@@ -355,7 +380,7 @@ impl Cmd {
                 lhs: lhs.clone(),
                 span: *span,
             },
-            Cmd::Seq(a, b) => Cmd::Seq(Box::new(a.desugared()), Box::new(b.desugared())),
+            Cmd::Seq(cs) => Cmd::seq(cs.iter().map(Cmd::desugared)),
             Cmd::Choice(a, b) => Cmd::Choice(Box::new(a.desugared()), Box::new(b.desugared())),
             Cmd::Call { proc, args, span } => Cmd::Call {
                 proc: proc.clone(),
@@ -365,12 +390,18 @@ impl Cmd {
         }
     }
 
-    /// Visits every sub-command, including `self`, in pre-order.
+    /// Visits every sub-command, including `self`, in pre-order. Recursion
+    /// follows block nesting only; a sequence's elements are a loop.
     pub fn walk<'a>(&'a self, visit: &mut impl FnMut(&'a Cmd)) {
         visit(self);
         match self {
             Cmd::Var(_, c, _) => c.walk(visit),
-            Cmd::Seq(a, b) | Cmd::Choice(a, b) => {
+            Cmd::Seq(cs) => {
+                for c in cs {
+                    c.walk(visit);
+                }
+            }
+            Cmd::Choice(a, b) => {
                 a.walk(visit);
                 b.walk(visit);
             }
@@ -639,7 +670,7 @@ mod tests {
         match de {
             Cmd::Choice(else_arm, then_arm) => {
                 match *else_arm {
-                    Cmd::Seq(first, _) => match *first {
+                    Cmd::Seq(parts) => match &parts[0] {
                         Cmd::Assume(
                             Expr::Unary {
                                 op: UnaryOp::Not, ..
@@ -651,11 +682,11 @@ mod tests {
                     other => panic!("expected seq, got {other:?}"),
                 }
                 match *then_arm {
-                    Cmd::Seq(first, second) => {
-                        assert!(matches!(*first, Cmd::Assume(Expr::Id(_), _)));
+                    Cmd::Seq(parts) => {
+                        assert!(matches!(parts[0], Cmd::Assume(Expr::Id(_), _)));
                         // skip desugars to assert true
                         assert!(matches!(
-                            *second,
+                            parts[1],
                             Cmd::Assert(Expr::Const(Const::Bool(true), _), _)
                         ));
                     }
@@ -690,18 +721,41 @@ mod tests {
     }
 
     #[test]
+    fn seq_flattens_nested_sequences() {
+        let skip = || Cmd::Skip(Span::DUMMY);
+        let inner = Cmd::seq([skip(), skip()]);
+        match Cmd::seq([skip(), inner, skip()]) {
+            Cmd::Seq(parts) => {
+                assert_eq!(parts.len(), 4);
+                assert!(parts.iter().all(|c| matches!(c, Cmd::Skip(_))));
+            }
+            other => panic!("expected a flat seq, got {other:?}"),
+        }
+        assert!(matches!(Cmd::seq([skip()]), Cmd::Skip(_)));
+    }
+
+    #[test]
+    fn desugaring_a_long_sequence_stays_flat() {
+        let body = Cmd::seq((0..10_000).map(|_| Cmd::Skip(Span::DUMMY)));
+        match body.desugared() {
+            Cmd::Seq(parts) => assert_eq!(parts.len(), 10_000),
+            other => panic!("expected a flat seq, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn walk_visits_all_subcommands() {
-        let body = Cmd::Seq(
-            Box::new(Cmd::Skip(Span::DUMMY)),
-            Box::new(Cmd::Choice(
+        let body = Cmd::seq([
+            Cmd::Skip(Span::DUMMY),
+            Cmd::Choice(
                 Box::new(Cmd::Assert(Expr::ident("x"), Span::DUMMY)),
                 Box::new(Cmd::Var(
                     id("y"),
                     Box::new(Cmd::Skip(Span::DUMMY)),
                     Span::DUMMY,
                 )),
-            )),
-        );
+            ),
+        ]);
         let mut count = 0;
         body.walk(&mut |_| count += 1);
         assert_eq!(count, 6);

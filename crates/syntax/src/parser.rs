@@ -422,12 +422,11 @@ impl Parser {
     }
 
     fn seq_command(&mut self) -> Option<Cmd> {
-        let mut lhs = self.atom_command()?;
+        let mut parts = vec![self.atom_command()?];
         while self.eat(&TokenKind::Semi) {
-            let rhs = self.atom_command()?;
-            lhs = Cmd::Seq(Box::new(lhs), Box::new(rhs));
+            parts.push(self.atom_command()?);
         }
-        Some(lhs)
+        Some(Cmd::seq(parts))
     }
 
     fn atom_command(&mut self) -> Option<Cmd> {
@@ -803,17 +802,20 @@ mod tests {
     }
 
     #[test]
-    fn choice_and_seq_are_left_associative() {
+    fn choice_is_left_associative_and_seq_is_flat() {
         let c = parse_command("skip [] skip [] skip").expect("parses");
         assert!(matches!(c, Cmd::Choice(a, _) if matches!(*a, Cmd::Choice(..))));
         let s = parse_command("skip ; skip ; skip").expect("parses");
-        assert!(matches!(s, Cmd::Seq(a, _) if matches!(*a, Cmd::Seq(..))));
+        assert!(matches!(&s, Cmd::Seq(parts) if parts.len() == 3));
+        // Braces group for the reader only: a braced sequence splices in.
+        let b = parse_command("skip ; { skip ; skip } ; skip").expect("parses");
+        assert!(matches!(&b, Cmd::Seq(parts) if parts.len() == 4));
     }
 
     #[test]
     fn braces_group_commands() {
         let cmd = parse_command("skip ; { skip [] skip }").expect("parses");
-        assert!(matches!(cmd, Cmd::Seq(_, b) if matches!(*b, Cmd::Choice(..))));
+        assert!(matches!(&cmd, Cmd::Seq(parts) if matches!(parts[1], Cmd::Choice(..))));
     }
 
     #[test]

@@ -91,10 +91,13 @@ fn indent(level: usize, out: &mut String) {
 
 fn print_cmd_indented(cmd: &Cmd, level: usize, out: &mut String) {
     match cmd {
-        Cmd::Seq(a, b) => {
-            print_cmd_indented(a, level, out);
-            out.push_str(" ;\n");
-            print_cmd_indented(b, level, out);
+        Cmd::Seq(parts) => {
+            for (i, part) in parts.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(" ;\n");
+                }
+                print_cmd_indented(part, level, out);
+            }
         }
         Cmd::Choice(a, b) => {
             // The whole choice is wrapped in braces: `[]` binds looser

@@ -201,6 +201,7 @@ fn strip_vc(vc: &Vc) -> Vc {
         background_hyps: vc.background_hyps,
         goal: vc.goal.strip_labels(),
         labels: Vec::new(),
+        shared_continuations: vc.shared_continuations,
     }
 }
 
