@@ -36,10 +36,14 @@
 
 use datagroups::{overhead, prover_metrics, CheckOptions, Checker};
 use oolong_diagnose::{diagnose_refutation, diagnose_restriction, Diagnosis, Replay};
-use oolong_engine::{diagnosis_to_json, label_to_json, BatchUnit, Engine, EngineOptions, Json};
+use oolong_engine::{
+    diagnosis_to_json, label_to_json, BatchUnit, Engine, EngineOptions, Json, JsonWriter,
+};
 use oolong_interp::{ExecConfig, Interp, RngOracle, RunOutcome};
 use oolong_sema::Scope;
-use oolong_serve::{Client, ServeOptions, Server};
+use oolong_serve::{
+    write_check_impl, write_check_summary, Client, RenderedStats, ServeOptions, Server,
+};
 use oolong_syntax::parse_program;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -241,10 +245,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     let report = checker.check_all_parallel();
     let explain = flag(args, "--explain");
     if flag(args, "--json") {
-        outln!(
-            "{}",
-            check_report_json(&checker, &source, &report, explain).render()
-        );
+        outln!("{}", check_report_json(&checker, &source, &report, explain));
         return Ok(if report.all_verified() {
             ExitCode::SUCCESS
         } else {
@@ -342,84 +343,36 @@ fn render_diagnosis(d: &Diagnosis) -> Vec<String> {
 
 /// The `--json` rendering of a plain `check` report. Refuted obligations
 /// always carry their attribution (obligation kind, label id); the full
-/// diagnosis rides along when `explain` is set.
+/// diagnosis rides along when `explain` is set. Written through the
+/// daemon's `check` writer, so both surfaces emit the same shape.
 fn check_report_json(
     checker: &Checker,
     source: &str,
     report: &datagroups::Report,
     explain: bool,
-) -> Json {
-    let impls = report
-        .impls
-        .iter()
-        .map(|rep| {
-            let mut members = vec![
-                ("proc".to_string(), Json::Str(rep.proc_name.clone())),
-                (
-                    "verdict".to_string(),
-                    Json::Str(rep.verdict.label().to_string()),
-                ),
-            ];
-            if let Some(stats) = rep.verdict.stats() {
-                members.push(("stats".to_string(), oolong_engine::stats_to_json(stats)));
-            }
-            if let Some(divergence) = rep.verdict.divergence() {
-                members.push((
-                    "divergence".to_string(),
-                    Json::Object(vec![
-                        (
-                            "reason".to_string(),
-                            Json::Str(divergence.reason.as_str().to_string()),
-                        ),
-                        (
-                            "culprits".to_string(),
-                            Json::Array(
-                                divergence
-                                    .culprits
-                                    .iter()
-                                    .map(|c| Json::Str(c.to_string()))
-                                    .collect(),
-                            ),
-                        ),
-                    ]),
-                ));
-            }
-            if let Some(branch) = rep.verdict.open_branch() {
-                members.push((
-                    "open_branch".to_string(),
-                    Json::Array(branch.iter().map(|l| Json::Str(l.clone())).collect()),
-                ));
-            }
-            if let Some(refutation) = rep.verdict.refutation() {
-                if let Some(primary) = &refutation.primary {
-                    members.push((
-                        "obligation_kind".to_string(),
-                        Json::Str(primary.kind.as_str().to_string()),
-                    ));
-                    members.push(("label_id".to_string(), Json::Int(primary.id as i64)));
-                    members.push(("label".to_string(), label_to_json(primary)));
-                }
-            }
-            if explain {
-                if let Some(d) = diagnosis_for(checker, source, rep) {
-                    members.push(("diagnosis".to_string(), diagnosis_to_json(&d)));
-                }
-            }
-            Json::Object(members)
-        })
-        .collect();
-    let (v, r, u) = report.tally();
-    Json::Object(vec![
-        ("impls".to_string(), Json::Array(impls)),
-        (
-            "summary".to_string(),
-            Json::Object(vec![
-                ("verified".to_string(), Json::Int(v as i64)),
-                ("rejected".to_string(), Json::Int(r as i64)),
-                ("unknown".to_string(), Json::Int(u as i64)),
-            ]),
-        ),
-    ])
+) -> String {
+    let mut w = JsonWriter::new();
+    let mut rendered = RenderedStats::default();
+    w.begin_object().key("impls").begin_array();
+    for (seq, rep) in report.impls.iter().enumerate() {
+        let diagnosis = if explain {
+            diagnosis_for(checker, source, rep)
+        } else {
+            None
+        };
+        write_check_impl(
+            &mut w,
+            seq,
+            &rep.proc_name,
+            &rep.verdict,
+            diagnosis.as_ref(),
+            &mut rendered,
+        );
+    }
+    w.end_array();
+    write_check_summary(&mut w, report.tally());
+    w.end_object();
+    w.finish()
 }
 
 /// `oolong explain` — diagnose every rejected implementation through the
@@ -1085,7 +1038,7 @@ fn cmd_axioms(args: &[String]) -> Result<ExitCode, String> {
             .zip(matches.iter_mut())
             .enumerate()
         {
-            for q in &stats.per_quant {
+            for q in stats.per_quant.iter() {
                 if ctx.background_quants(axiom).contains(&q.id) {
                     *p += q.presat_instances as i64;
                     *g += q.goal_instances as i64;

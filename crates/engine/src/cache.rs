@@ -15,7 +15,7 @@
 
 use crate::diagjson::{diagnosis_from_json, diagnosis_to_json, label_from_json, label_to_json};
 use crate::fingerprint::Fingerprint;
-use crate::json::{self, Json};
+use crate::json::{self, Json, JsonWriter};
 use datagroups::{ObligationLabel, Refutation, Verdict};
 use oolong_diagnose::Diagnosis;
 use oolong_prover::{QuantKind, QuantProfile, Stats, UnknownReason};
@@ -51,30 +51,74 @@ use std::sync::Mutex;
 /// slicing (`FINGERPRINT_VERSION` 7). Same migration by miss.
 pub const CACHE_FORMAT_VERSION: u64 = 7;
 
-/// Full JSON form of prover stats: the scalar counters plus the
-/// structured members ([`Stats::exhausted`], [`Stats::per_quant`]), so a
-/// cache round-trip reproduces the cold run's stats exactly.
-pub fn stats_to_json(stats: &Stats) -> Json {
-    let mut members: Vec<(String, Json)> = stats
-        .to_fields()
-        .into_iter()
-        .map(|(name, value)| (name.to_string(), Json::Int(value as i64)))
-        .collect();
-    members.push((
-        "exhausted".to_string(),
-        match stats.exhausted {
-            Some(reason) => Json::Str(reason.as_str().to_string()),
-            None => Json::Null,
-        },
-    ));
-    members.push((
-        "per_quant".to_string(),
-        Json::Array(stats.per_quant.iter().map(quant_profile_to_json).collect()),
-    ));
-    Json::Object(members)
+/// Writes the full JSON form of prover stats: the scalar counters plus
+/// the structured members ([`Stats::exhausted`], [`Stats::per_quant`]), so
+/// a cache round-trip reproduces the cold run's stats exactly.
+pub fn write_stats(w: &mut JsonWriter, stats: &Stats) {
+    w.begin_object();
+    write_stat_members(w, stats);
+    w.key("exhausted");
+    match stats.exhausted {
+        Some(reason) => w.str(reason.as_str()),
+        None => w.null(),
+    };
+    w.key("per_quant").begin_array();
+    for q in stats.per_quant.iter() {
+        w.begin_object()
+            .key("id")
+            .int(q.id as i64)
+            .key("kind")
+            .str(q.kind.as_str())
+            .key("trigger")
+            .str(&q.trigger)
+            .key("matches")
+            .int(q.matches as i64)
+            .key("instances")
+            .int(q.instances as i64)
+            .key("presat")
+            .int(q.presat_instances as i64)
+            .key("goal")
+            .int(q.goal_instances as i64)
+            .key("deferred")
+            .int(q.deferred as i64)
+            .key("chain")
+            .begin_array();
+        for step in &q.chain {
+            w.str(step);
+        }
+        w.end_array().end_object();
+    }
+    w.end_array().end_object();
 }
 
-/// Inverse of [`stats_to_json`].
+/// [`write_stats`] into a fresh string, sized up front from the profile
+/// rows so the buffer grows at most once.
+pub fn render_stats(stats: &Stats) -> String {
+    let rows: usize = stats
+        .per_quant
+        .iter()
+        .map(|q| 128 + q.trigger.len() + q.chain.iter().map(|c| c.len() + 3).sum::<usize>())
+        .sum();
+    let mut w = JsonWriter::with_capacity(384 + rows);
+    write_stats(&mut w, stats);
+    w.finish()
+}
+
+/// Writes the scalar counters of `stats` as an object (the compact form
+/// terminal events and batch reports carry).
+pub(crate) fn write_stat_fields(w: &mut JsonWriter, stats: &Stats) {
+    w.begin_object();
+    write_stat_members(w, stats);
+    w.end_object();
+}
+
+fn write_stat_members(w: &mut JsonWriter, stats: &Stats) {
+    for (name, value) in stats.to_fields() {
+        w.key(name).int(value as i64);
+    }
+}
+
+/// Inverse of [`write_stats`], over the parsed tree.
 pub fn stats_from_json(value: &Json) -> Option<Stats> {
     let Json::Object(members) = value else {
         return None;
@@ -95,23 +139,6 @@ pub fn stats_from_json(value: &Json) -> Option<Stats> {
         .map(quant_profile_from_json)
         .collect::<Option<_>>()?;
     Some(stats)
-}
-
-fn quant_profile_to_json(q: &QuantProfile) -> Json {
-    Json::Object(vec![
-        ("id".to_string(), Json::Int(q.id as i64)),
-        ("kind".to_string(), Json::Str(q.kind.as_str().to_string())),
-        ("trigger".to_string(), Json::Str(q.trigger.clone())),
-        ("matches".to_string(), Json::Int(q.matches as i64)),
-        ("instances".to_string(), Json::Int(q.instances as i64)),
-        ("presat".to_string(), Json::Int(q.presat_instances as i64)),
-        ("goal".to_string(), Json::Int(q.goal_instances as i64)),
-        ("deferred".to_string(), Json::Int(q.deferred as i64)),
-        (
-            "chain".to_string(),
-            Json::Array(q.chain.iter().map(|s| Json::Str(s.clone())).collect()),
-        ),
-    ])
 }
 
 fn quant_profile_from_json(value: &Json) -> Option<QuantProfile> {
@@ -231,50 +258,47 @@ impl CachedVerdict {
         }
     }
 
-    pub(crate) fn to_json(&self, fingerprint: Fingerprint) -> Json {
-        Json::Object(vec![
-            (
-                "version".to_string(),
-                Json::Int(CACHE_FORMAT_VERSION as i64),
-            ),
-            (
-                "fingerprint".to_string(),
-                Json::Str(fingerprint.to_string()),
-            ),
-            ("proc".to_string(), Json::Str(self.proc_name.clone())),
-            (
-                "outcome".to_string(),
-                Json::Str(self.outcome.as_str().to_string()),
-            ),
-            ("stats".to_string(), stats_to_json(&self.stats)),
-            (
-                "open_branch".to_string(),
-                match &self.open_branch {
-                    None => Json::Null,
-                    Some(lines) => {
-                        Json::Array(lines.iter().map(|l| Json::Str(l.clone())).collect())
-                    }
-                },
-            ),
-            (
-                "labels".to_string(),
-                Json::Array(self.labels.iter().map(|&id| Json::Int(id as i64)).collect()),
-            ),
-            (
-                "primary".to_string(),
-                match &self.primary {
-                    Some(label) => label_to_json(label),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "diagnosis".to_string(),
-                match &self.diagnosis {
-                    Some(d) => diagnosis_to_json(d),
-                    None => Json::Null,
-                },
-            ),
-        ])
+    /// The entry's on-disk JSON text.
+    pub(crate) fn render(&self, fingerprint: Fingerprint) -> String {
+        let mut w = JsonWriter::new();
+        w.begin_object()
+            .key("version")
+            .int(CACHE_FORMAT_VERSION as i64)
+            .key("fingerprint")
+            .str(&fingerprint.to_string())
+            .key("proc")
+            .str(&self.proc_name)
+            .key("outcome")
+            .str(self.outcome.as_str())
+            .key("stats");
+        write_stats(&mut w, &self.stats);
+        w.key("open_branch");
+        match &self.open_branch {
+            None => w.null(),
+            Some(lines) => {
+                w.begin_array();
+                for line in lines {
+                    w.str(line);
+                }
+                w.end_array()
+            }
+        };
+        w.key("labels").begin_array();
+        for &id in &self.labels {
+            w.int(i64::from(id));
+        }
+        w.end_array().key("primary");
+        match &self.primary {
+            Some(label) => w.value(&label_to_json(label)),
+            None => w.null(),
+        };
+        w.key("diagnosis");
+        match &self.diagnosis {
+            Some(d) => w.value(&diagnosis_to_json(d)),
+            None => w.null(),
+        };
+        w.end_object();
+        w.finish()
     }
 
     pub(crate) fn from_json(value: &Json) -> Option<(Fingerprint, CachedVerdict)> {
@@ -398,7 +422,7 @@ impl VerdictCache {
     /// in-memory caching rather than failing the batch.
     pub fn insert(&self, fingerprint: Fingerprint, verdict: CachedVerdict) {
         if let Some(dir) = &self.dir {
-            let rendered = verdict.to_json(fingerprint).render();
+            let rendered = verdict.render(fingerprint);
             let _ = std::fs::write(dir.join(format!("{fingerprint}.json")), rendered);
         }
         self.entries
@@ -423,7 +447,7 @@ mod tests {
                 merges: 11,
                 clauses: 5,
                 exhausted: Some(UnknownReason::Instances),
-                per_quant: vec![QuantProfile {
+                per_quant: [QuantProfile {
                     id: 0,
                     kind: QuantKind::RepInclusion,
                     trigger: "{RepInc(A, F, B)}".to_string(),
@@ -433,7 +457,8 @@ mod tests {
                     goal_instances: 5,
                     deferred: 2,
                     chain: vec!["A := #g, F := #next, B := #g".to_string()],
-                }],
+                }]
+                .into(),
                 ..Stats::default()
             },
             open_branch: Some(vec!["x ≠ null".to_string(), "a = b".to_string()]),
@@ -468,7 +493,7 @@ mod tests {
     fn json_round_trip() {
         let entry = sample_entry();
         let fp = Fingerprint(0xdead_beef_0123_4567_89ab_cdef_0011_2233);
-        let value = entry.to_json(fp);
+        let value = json::parse(&entry.render(fp)).expect("parses");
         let (fp2, entry2) = CachedVerdict::from_json(&value).expect("round-trips");
         assert_eq!(fp2, fp);
         assert_eq!(entry2, entry);
@@ -494,7 +519,7 @@ mod tests {
     fn version_mismatch_is_skipped() {
         let entry = sample_entry();
         let fp = Fingerprint(7);
-        let mut value = entry.to_json(fp);
+        let mut value = json::parse(&entry.render(fp)).expect("parses");
         if let Json::Object(members) = &mut value {
             members[0].1 = Json::Int(999);
         }
@@ -514,7 +539,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("creates dir");
         let stale = |fp: Fingerprint| {
-            let mut value = sample_entry().to_json(fp);
+            let mut value = json::parse(&sample_entry().render(fp)).expect("parses");
             if let Json::Object(members) = &mut value {
                 assert_eq!(members[0].0, "version");
                 members[0].1 = Json::Int(old_version as i64);

@@ -17,10 +17,10 @@
 //! completion, so logs from parallel runs are deterministic up to the
 //! timing fields.
 
-use crate::cache::stats_to_json;
+use crate::cache::{write_stat_fields, write_stats};
 use crate::diagjson::{diagnosis_to_json, label_to_json};
 use crate::fingerprint::Fingerprint;
-use crate::json::Json;
+use crate::json::JsonWriter;
 use datagroups::ObligationLabel;
 use oolong_diagnose::Diagnosis;
 use oolong_prover::Stats;
@@ -166,18 +166,20 @@ impl Event {
         )
     }
 
-    /// The event as a JSON object.
-    pub fn to_json(&self) -> Json {
-        let mut members = vec![("event".to_string(), Json::Str(self.kind().to_string()))];
-        let stats_json = |stats: &Stats| {
-            Json::Object(
-                stats
-                    .to_fields()
-                    .into_iter()
-                    .map(|(name, value)| (name.to_string(), Json::Int(value as i64)))
-                    .collect(),
-            )
-        };
+    /// The event as one compact JSON object.
+    pub fn render(&self) -> String {
+        let mut w = JsonWriter::with_capacity(256);
+        self.write_json(&mut w, None);
+        w.finish()
+    }
+
+    /// Writes the event as a JSON object. `profile_stats` is the full
+    /// stats object of a `prover_profile` event, already rendered by
+    /// [`render_stats`](crate::cache::render_stats) (a daemon response
+    /// renders it once for the check entry and the event both); `None`
+    /// writes it here. Other events ignore it.
+    pub fn write_json(&self, w: &mut JsonWriter, profile_stats: Option<&str>) {
+        w.begin_object().key("event").str(self.kind());
         match self {
             Event::ObligationStarted {
                 seq,
@@ -185,56 +187,64 @@ impl Event {
                 proc,
                 fingerprint,
             } => {
-                members.push(("seq".to_string(), Json::Int(*seq as i64)));
-                members.push(("unit".to_string(), Json::Str(unit.clone())));
-                members.push(("proc".to_string(), Json::Str(proc.clone())));
-                members.push((
-                    "fingerprint".to_string(),
-                    match fingerprint {
-                        Some(fp) => Json::Str(fp.to_string()),
-                        None => Json::Null,
-                    },
-                ));
+                w.key("seq")
+                    .int(*seq as i64)
+                    .key("unit")
+                    .str(unit)
+                    .key("proc")
+                    .str(proc)
+                    .key("fingerprint");
+                match fingerprint {
+                    Some(fp) => w.str(&fp.to_string()),
+                    None => w.null(),
+                };
             }
             Event::CacheHit {
                 seq,
                 outcome,
                 stats,
             } => {
-                members.push(("seq".to_string(), Json::Int(*seq as i64)));
-                members.push(("outcome".to_string(), Json::Str((*outcome).to_string())));
-                members.push(("stats".to_string(), stats_json(stats)));
+                w.key("seq")
+                    .int(*seq as i64)
+                    .key("outcome")
+                    .str(outcome)
+                    .key("stats");
+                write_stat_fields(w, stats);
             }
             Event::ProverProfile { seq, cached, stats } => {
-                members.push(("seq".to_string(), Json::Int(*seq as i64)));
-                members.push(("cached".to_string(), Json::Bool(*cached)));
-                members.push((
-                    "exhausted".to_string(),
-                    match stats.exhausted {
-                        Some(reason) => Json::Str(reason.as_str().to_string()),
-                        None => Json::Null,
-                    },
-                ));
+                w.key("seq")
+                    .int(*seq as i64)
+                    .key("cached")
+                    .bool(*cached)
+                    .key("exhausted");
+                match stats.exhausted {
+                    Some(reason) => w.str(reason.as_str()),
+                    None => w.null(),
+                };
                 // The full structured form (scalars + per_quant) — the
                 // JSONL consumer's view of the per-axiom telemetry.
-                members.push(("stats".to_string(), stats_to_json(stats)));
+                w.key("stats");
+                match profile_stats {
+                    Some(rendered) => {
+                        w.raw(rendered);
+                    }
+                    None => write_stats(w, stats),
+                }
                 if let Some(divergence) = stats.divergence() {
-                    members.push((
-                        "divergence".to_string(),
-                        Json::Array(
-                            divergence
-                                .culprits
-                                .iter()
-                                .map(|c| Json::Str(c.to_string()))
-                                .collect(),
-                        ),
-                    ));
+                    w.key("divergence").begin_array();
+                    for culprit in &divergence.culprits {
+                        w.str(&culprit.to_string());
+                    }
+                    w.end_array();
                 }
             }
             Event::Verified { seq, millis, stats } => {
-                members.push(("seq".to_string(), Json::Int(*seq as i64)));
-                members.push(("millis".to_string(), Json::Float(*millis)));
-                members.push(("stats".to_string(), stats_json(stats)));
+                w.key("seq")
+                    .int(*seq as i64)
+                    .key("millis")
+                    .float(*millis)
+                    .key("stats");
+                write_stat_fields(w, stats);
             }
             Event::Refuted {
                 seq,
@@ -245,63 +255,66 @@ impl Event {
                 primary,
                 diagnosis,
             } => {
-                members.push(("seq".to_string(), Json::Int(*seq as i64)));
-                members.push(("millis".to_string(), Json::Float(*millis)));
-                members.push(("stats".to_string(), stats_json(stats)));
-                members.push((
-                    "open_branch".to_string(),
-                    match open_branch {
-                        None => Json::Null,
-                        Some(lines) => {
-                            Json::Array(lines.iter().map(|l| Json::Str(l.clone())).collect())
+                w.key("seq")
+                    .int(*seq as i64)
+                    .key("millis")
+                    .float(*millis)
+                    .key("stats");
+                write_stat_fields(w, stats);
+                w.key("open_branch");
+                match open_branch {
+                    None => w.null(),
+                    Some(lines) => {
+                        w.begin_array();
+                        for line in lines {
+                            w.str(line);
                         }
-                    },
-                ));
-                members.push((
-                    "labels".to_string(),
-                    Json::Array(labels.iter().map(|&id| Json::Int(id as i64)).collect()),
-                ));
-                members.push((
-                    "primary".to_string(),
-                    match primary {
-                        Some(label) => label_to_json(label),
-                        None => Json::Null,
-                    },
-                ));
-                members.push((
-                    "diagnosis".to_string(),
-                    match diagnosis {
-                        Some(d) => diagnosis_to_json(d),
-                        None => Json::Null,
-                    },
-                ));
+                        w.end_array()
+                    }
+                };
+                w.key("labels").begin_array();
+                for &id in labels {
+                    w.int(i64::from(id));
+                }
+                w.end_array().key("primary");
+                match primary {
+                    Some(label) => w.value(&label_to_json(label)),
+                    None => w.null(),
+                };
+                w.key("diagnosis");
+                match diagnosis {
+                    Some(d) => w.value(&diagnosis_to_json(d)),
+                    None => w.null(),
+                };
             }
             Event::FuelExhausted { seq, millis, stats } => {
-                members.push(("seq".to_string(), Json::Int(*seq as i64)));
-                members.push(("millis".to_string(), Json::Float(*millis)));
-                members.push((
-                    "reason".to_string(),
-                    match stats.exhausted {
-                        Some(reason) => Json::Str(reason.as_str().to_string()),
-                        None => Json::Null,
-                    },
-                ));
-                members.push(("stats".to_string(), stats_json(stats)));
+                w.key("seq")
+                    .int(*seq as i64)
+                    .key("millis")
+                    .float(*millis)
+                    .key("reason");
+                match stats.exhausted {
+                    Some(reason) => w.str(reason.as_str()),
+                    None => w.null(),
+                };
+                w.key("stats");
+                write_stat_fields(w, stats);
             }
             Event::RestrictionViolation { seq, violations } => {
-                members.push(("seq".to_string(), Json::Int(*seq as i64)));
-                members.push((
-                    "violations".to_string(),
-                    Json::Array(violations.iter().map(|v| Json::Str(v.clone())).collect()),
-                ));
+                w.key("seq")
+                    .int(*seq as i64)
+                    .key("violations")
+                    .begin_array();
+                for violation in violations {
+                    w.str(violation);
+                }
+                w.end_array();
             }
             Event::TranslationError { seq, message } => {
-                members.push(("seq".to_string(), Json::Int(*seq as i64)));
-                members.push(("message".to_string(), Json::Str(message.clone())));
+                w.key("seq").int(*seq as i64).key("message").str(message);
             }
             Event::UnitError { unit, message } => {
-                members.push(("unit".to_string(), Json::Str(unit.clone())));
-                members.push(("message".to_string(), Json::Str(message.clone())));
+                w.key("unit").str(unit).key("message").str(message);
             }
             Event::BatchSummary {
                 obligations,
@@ -310,16 +323,23 @@ impl Event {
                 tally,
                 millis,
             } => {
-                members.push(("obligations".to_string(), Json::Int(*obligations as i64)));
-                members.push(("cache_hits".to_string(), Json::Int(*cache_hits as i64)));
-                members.push(("prover_calls".to_string(), Json::Int(*prover_calls as i64)));
-                members.push(("verified".to_string(), Json::Int(tally.0 as i64)));
-                members.push(("rejected".to_string(), Json::Int(tally.1 as i64)));
-                members.push(("unknown".to_string(), Json::Int(tally.2 as i64)));
-                members.push(("millis".to_string(), Json::Float(*millis)));
+                w.key("obligations")
+                    .int(*obligations as i64)
+                    .key("cache_hits")
+                    .int(*cache_hits as i64)
+                    .key("prover_calls")
+                    .int(*prover_calls as i64)
+                    .key("verified")
+                    .int(tally.0 as i64)
+                    .key("rejected")
+                    .int(tally.1 as i64)
+                    .key("unknown")
+                    .int(tally.2 as i64)
+                    .key("millis")
+                    .float(*millis);
             }
         }
-        Json::Object(members)
+        w.end_object();
     }
 }
 
@@ -328,7 +348,7 @@ impl Event {
 pub fn render_jsonl(events: &[Event]) -> String {
     let mut out = String::new();
     for event in events {
-        out.push_str(&event.to_json().render());
+        out.push_str(&event.render());
         out.push('\n');
     }
     out
@@ -373,7 +393,7 @@ impl EventLogWriter {
     /// Returns the I/O error if the line cannot be written or flushed.
     pub fn write(&mut self, event: &Event) -> std::io::Result<()> {
         use std::io::Write as _;
-        let mut line = event.to_json().render();
+        let mut line = event.render();
         line.push('\n');
         self.out.write_all(line.as_bytes())?;
         self.out.flush()
@@ -402,7 +422,7 @@ impl Drop for EventLogWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use crate::json::{self, Json};
 
     #[test]
     fn every_event_renders_one_parseable_line() {

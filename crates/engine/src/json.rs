@@ -1,14 +1,29 @@
-//! A minimal JSON value type with a writer and a recursive-descent parser.
+//! Minimal JSON support: a value type, a streaming writer and a
+//! recursive-descent parser.
 //!
 //! The engine persists cache entries and emits event logs as JSON, and the
-//! build container has no crates.io access for `serde`, so this module
-//! implements the small subset the engine needs: the full JSON value
-//! grammar, compact rendering with correct string escaping, and strict
-//! parsing with byte-offset error reporting. Numbers are kept as `i64`
-//! when written as integers (cache counters are integral) and `f64`
-//! otherwise.
+//! daemon speaks it on the wire; the build container has no crates.io
+//! access for `serde`, so this module implements the subset they need: the
+//! full JSON value grammar, compact rendering with correct string
+//! escaping, and strict parsing with byte-offset error reporting. Numbers
+//! are kept as `i64` when written as integers (cache counters are
+//! integral) and `f64` otherwise.
+//!
+//! [`JsonWriter`] is the one writer: [`Json::render`] walks a tree through
+//! it, and hot serializers (event lines, cache entries, daemon responses)
+//! drive it directly, without building a tree first. It copies escape-free
+//! runs of a string in one step and formats integers without allocating.
+//! The parser slices escape-free strings straight out of its `&str` input
+//! (one allocation each, no UTF-8 re-validation), accumulates integers
+//! digit by digit, and rejects nesting deeper than [`MAX_DEPTH`] so a
+//! hostile line cannot exhaust the parsing thread's stack.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+/// The deepest array/object nesting [`parse`] accepts. Every document the
+/// repository writes nests fewer than ten levels; the bound only stops
+/// hostile input from recursing the parser off its thread's stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,75 +88,234 @@ impl Json {
 
     /// Compact one-line rendering.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(n) => out.push_str(&n.to_string()),
-            Json::Float(x) => {
-                if x.is_finite() {
-                    let printed = format!("{x}");
-                    out.push_str(&printed);
-                    // `{}` prints integral floats without a point; keep the
-                    // value re-parseable as a float for round-tripping.
-                    if !printed.contains(['.', 'e', 'E']) {
-                        out.push_str(".0");
-                    }
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(s, out),
-            Json::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Object(members) => {
-                out.push('{');
-                for (i, (key, value)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(key, out);
-                    out.push(':');
-                    value.write(out);
-                }
-                out.push('}');
-            }
-        }
+        let mut w = JsonWriter::new();
+        w.value(self);
+        w.finish()
     }
 }
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.render())
+        f.write_str(&self.render())
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// A streaming writer of compact JSON text.
+///
+/// Calls mirror the document: `begin_object`, then `key` and one value per
+/// member, then `end_object`; arrays likewise without keys. The writer
+/// places the separating commas itself. It does not check that the calls
+/// are balanced — callers emit fixed shapes.
+///
+/// ```
+/// use oolong_engine::json::JsonWriter;
+///
+/// let mut w = JsonWriter::new();
+/// w.begin_object().key("n").int(-3).key("xs").begin_array();
+/// w.str("a\"b").null().end_array().end_object();
+/// assert_eq!(w.finish(), r#"{"n":-3,"xs":["a\"b",null]}"#);
+/// ```
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+    /// Whether the next key or array element follows a sibling and so
+    /// needs a comma first.
+    comma: bool,
+}
+
+impl JsonWriter {
+    /// An empty writer.
+    pub fn new() -> JsonWriter {
+        JsonWriter::default()
+    }
+
+    /// An empty writer whose buffer already holds `bytes`.
+    pub fn with_capacity(bytes: usize) -> JsonWriter {
+        JsonWriter {
+            out: String::with_capacity(bytes),
+            comma: false,
         }
     }
+
+    /// The text written so far.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    fn separate(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+    }
+
+    /// Writes a scalar token and marks a value as written.
+    fn token(&mut self, text: &str) -> &mut Self {
+        self.separate();
+        self.out.push_str(text);
+        self.comma = true;
+        self
+    }
+
+    /// Opens an object.
+    pub fn begin_object(&mut self) -> &mut Self {
+        self.separate();
+        self.out.push('{');
+        self.comma = false;
+        self
+    }
+
+    /// Closes the innermost object.
+    pub fn end_object(&mut self) -> &mut Self {
+        self.out.push('}');
+        self.comma = true;
+        self
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) -> &mut Self {
+        self.separate();
+        self.out.push('[');
+        self.comma = false;
+        self
+    }
+
+    /// Closes the innermost array.
+    pub fn end_array(&mut self) -> &mut Self {
+        self.out.push(']');
+        self.comma = true;
+        self
+    }
+
+    /// Writes an object member's key; its value comes next.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.separate();
+        push_escaped(&mut self.out, key);
+        self.out.push(':');
+        self.comma = false;
+        self
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.token("null")
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.token(if b { "true" } else { "false" })
+    }
+
+    /// Writes an integer.
+    pub fn int(&mut self, n: i64) -> &mut Self {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut rest = n.unsigned_abs();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        self.separate();
+        if n < 0 {
+            self.out.push('-');
+        }
+        self.out
+            .push_str(std::str::from_utf8(&digits[at..]).expect("ascii digits"));
+        self.comma = true;
+        self
+    }
+
+    /// Writes a number. Integral values keep a `.0` so they parse back
+    /// as floats; non-finite values, which JSON cannot express, become
+    /// `null`.
+    pub fn float(&mut self, x: f64) -> &mut Self {
+        if !x.is_finite() {
+            return self.null();
+        }
+        self.separate();
+        let start = self.out.len();
+        write!(self.out, "{x}").expect("writing to a String cannot fail");
+        // `{}` prints integral floats without a point (and never uses an
+        // exponent); keep the value re-parseable as a float.
+        if !self.out[start..].contains(['.', 'e', 'E']) {
+            self.out.push_str(".0");
+        }
+        self.comma = true;
+        self
+    }
+
+    /// Writes a string, escaped.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.separate();
+        push_escaped(&mut self.out, s);
+        self.comma = true;
+        self
+    }
+
+    /// Splices in one complete value rendered earlier by a `JsonWriter`,
+    /// so a value that appears in several places is serialized once.
+    pub fn raw(&mut self, rendered: &str) -> &mut Self {
+        self.token(rendered)
+    }
+
+    /// Writes a value tree.
+    pub fn value(&mut self, value: &Json) -> &mut Self {
+        match value {
+            Json::Null => self.null(),
+            Json::Bool(b) => self.bool(*b),
+            Json::Int(n) => self.int(*n),
+            Json::Float(x) => self.float(*x),
+            Json::Str(s) => self.str(s),
+            Json::Array(items) => {
+                self.begin_array();
+                for item in items {
+                    self.value(item);
+                }
+                self.end_array()
+            }
+            Json::Object(members) => {
+                self.begin_object();
+                for (key, value) in members {
+                    self.key(key).value(value);
+                }
+                self.end_object()
+            }
+        }
+    }
+}
+
+/// Appends `s` as a quoted JSON string. Runs of bytes that need no escape
+/// are copied whole; the bytes that do are all ASCII, so every run ends on
+/// a character boundary.
+fn push_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
+    out.push('"');
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if short.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        } else {
+            out.push_str(short);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -162,11 +336,14 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parses one JSON value; trailing non-whitespace is an error.
+/// Parses one JSON value; trailing non-whitespace is an error, and so is
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut parser = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.value()?;
@@ -178,8 +355,11 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -224,16 +404,47 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
     }
 
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        inner: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = inner(self)?;
+        self.depth -= 1;
+        Ok(value)
+    }
+
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        // `"` and `\` are ASCII, so every slice below starts and ends on
+        // a character boundary of the (already valid UTF-8) input.
+        let start = self.pos;
+        let Some(len) = self.bytes[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+        else {
+            self.pos = self.bytes.len();
+            return Err(self.error("unterminated string"));
+        };
+        self.pos += len;
+        if self.bytes[self.pos] == b'"' {
+            self.pos += 1;
+            return Ok(self.input[start..self.pos - 1].to_string());
+        }
+        let mut out = String::with_capacity(len + 16);
+        out.push_str(&self.input[start..self.pos]);
         loop {
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
@@ -243,59 +454,65 @@ impl Parser<'_> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let start = self.pos + 1;
-                            let hex = self
-                                .bytes
-                                .get(start..start + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.error("bad \\u escape"))?;
-                            // Surrogate pairs are not needed by our own
-                            // output; reject rather than mis-decode.
-                            let c =
-                                char::from_u32(hex).ok_or_else(|| self.error("bad \\u escape"))?;
-                            out.push(c);
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.error("bad escape")),
-                    }
+                    self.escape(&mut out)?;
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Copy the maximal run up to the next quote or escape
-                    // in one step, validating UTF-8 once per run — not
-                    // once per character over the whole remaining input,
-                    // which made large documents parse quadratically.
-                    let start = self.pos;
+                    let run = self.pos;
                     while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\') {
                         self.pos += 1;
                     }
-                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.error("invalid utf-8"))?;
-                    out.push_str(run);
+                    out.push_str(&self.input[run..self.pos]);
                 }
             }
         }
     }
 
+    /// Decodes the escape whose letter is at `pos` (just past the `\`).
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        match self.peek() {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let start = self.pos + 1;
+                let hex = self
+                    .input
+                    .get(start..start + 4)
+                    .and_then(|h| u32::from_str_radix(h, 16).ok())
+                    .ok_or_else(|| self.error("bad \\u escape"))?;
+                // Surrogate pairs are not needed by our own output; reject
+                // rather than mis-decode.
+                let c = char::from_u32(hex).ok_or_else(|| self.error("bad \\u escape"))?;
+                out.push(c);
+                self.pos += 4;
+            }
+            _ => return Err(self.error("bad escape")),
+        }
+        Ok(())
+    }
+
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+        let digits_start = self.pos;
+        // The magnitude, while it fits; `None` once it overflows.
+        let mut magnitude = Some(0u64);
+        while let Some(c @ b'0'..=b'9') = self.peek() {
+            magnitude = magnitude
+                .and_then(|m| m.checked_mul(10))
+                .and_then(|m| m.checked_add(u64::from(c - b'0')));
             self.pos += 1;
         }
+        let has_digits = self.pos > digits_start;
         let mut is_float = false;
         if self.peek() == Some(b'.') {
             is_float = true;
@@ -314,17 +531,22 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ascii");
-        if !is_float {
-            if let Ok(n) = text.parse::<i64>() {
-                return Ok(Json::Int(n));
+        if !is_float && has_digits {
+            match (negative, magnitude) {
+                (false, Some(m)) if m <= i64::MAX as u64 => return Ok(Json::Int(m as i64)),
+                (true, Some(m)) if m <= i64::MIN.unsigned_abs() => {
+                    return Ok(Json::Int((m as i64).wrapping_neg()))
+                }
+                _ => {} // out of `i64` range: read as a float below
             }
         }
-        text.parse::<f64>().map(Json::Float).map_err(|_| JsonError {
-            message: "bad number".to_string(),
-            offset: start,
-        })
+        self.input[start..self.pos]
+            .parse::<f64>()
+            .map(Json::Float)
+            .map_err(|_| JsonError {
+                message: "bad number".to_string(),
+                offset: start,
+            })
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -425,5 +647,13 @@ mod tests {
             Some(2)
         );
         assert_eq!(v.get("missing"), None);
+    }
+
+    #[test]
+    fn raw_splices_a_rendered_value() {
+        let inner = Json::Array(vec![Json::Int(1), Json::Str("é".to_string())]).render();
+        let mut w = JsonWriter::new();
+        w.begin_array().raw(&inner).raw(&inner).end_array();
+        assert_eq!(w.finish(), r#"[[1,"é"],[1,"é"]]"#);
     }
 }

@@ -61,7 +61,7 @@ pub mod json;
 pub mod store;
 
 pub use cache::{
-    stats_from_json, stats_to_json, CachedOutcome, CachedVerdict, VerdictCache,
+    render_stats, stats_from_json, write_stats, CachedOutcome, CachedVerdict, VerdictCache,
     CACHE_FORMAT_VERSION,
 };
 pub use contexts::{
@@ -73,7 +73,7 @@ pub use engine::{
 };
 pub use events::{render_jsonl, Event, EventLogWriter};
 pub use fingerprint::{fingerprint_vc, Fingerprint, FINGERPRINT_VERSION};
-pub use json::{Json, JsonError};
+pub use json::{Json, JsonError, JsonWriter};
 pub use store::{
     DiskTier, MemoryTier, StoreMetrics, TieredStore, VerdictStore, DEFAULT_MEMORY_CAPACITY,
 };

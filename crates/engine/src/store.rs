@@ -286,7 +286,7 @@ impl VerdictStore for DiskTier {
     }
 
     fn put(&self, fingerprint: Fingerprint, verdict: CachedVerdict) {
-        let rendered = verdict.to_json(fingerprint).render();
+        let rendered = verdict.render(fingerprint);
         let _ = std::fs::write(self.entry_path(fingerprint), rendered);
     }
 

@@ -28,6 +28,7 @@ use oolong_logic::transform::{to_nnf, FreshGen, Nnf};
 use oolong_logic::{Atom, Formula, Phase, Symbol, Term, Trigger, JOIN_LABEL};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Resource limits for one proof attempt.
 ///
@@ -299,7 +300,10 @@ pub struct Stats {
     /// When the outcome was [`Outcome::Unknown`]: which limit tripped.
     pub exhausted: Option<UnknownReason>,
     /// Per-quantifier instantiation telemetry, ordered by stable id.
-    pub per_quant: Vec<QuantProfile>,
+    /// Shared, not copied, between the clones of one proof's stats: a
+    /// cached verdict hands the same table to its store entry, its events
+    /// and its replayed verdict.
+    pub per_quant: Arc<[QuantProfile]>,
 }
 
 impl Stats {
@@ -654,7 +658,7 @@ fn outcome_of(branch: Branch, fuel: Option<UnknownReason>) -> Outcome {
 
 /// Renders the accumulated per-quantifier telemetry as [`QuantProfile`]
 /// rows ordered by stable id.
-fn render_per_quant(quant_meta: &[QuantMeta]) -> Vec<QuantProfile> {
+fn render_per_quant(quant_meta: &[QuantMeta]) -> Arc<[QuantProfile]> {
     quant_meta
         .iter()
         .enumerate()

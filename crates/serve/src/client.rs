@@ -45,7 +45,8 @@ impl Client {
                 "server closed the connection before responding",
             ));
         }
-        Ok(response.trim_end().to_string())
+        response.truncate(response.trim_end().len());
+        Ok(response)
     }
 
     /// Sends one request line and parses the response as JSON.

@@ -17,7 +17,8 @@
 //!   members reuse the CLI's `--json` shapes byte for byte;
 //! * [`server`] — the daemon: accept loop, session threads, bounded
 //!   worker queue, degraded-mode fallback, and load metrics
-//!   (throughput, queue depth, latency percentiles);
+//!   (throughput, queue depth, latency percentiles from a fixed-size
+//!   log-linear histogram);
 //! * [`client`] — a minimal blocking client for scripted sessions,
 //!   tests, and the stress bench.
 //!
@@ -46,12 +47,14 @@
 //! ```
 
 pub mod client;
+mod histogram;
 pub mod protocol;
 pub mod server;
 
 pub use client::{response_ok, Client};
 pub use protocol::{
-    check_result_json, error_response, explain_result_json, ok_response, parse_request, Command,
-    Request, RequestOptions, UnitRef,
+    check_response, error_response, explain_result_json, ok_response, parse_request,
+    write_check_impl, write_check_summary, Command, RenderedStats, Request, RequestOptions,
+    UnitRef,
 };
 pub use server::{ServeOptions, Server, ServerHandle};

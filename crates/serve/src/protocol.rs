@@ -41,8 +41,12 @@
 //! obligations come back `unknown` with the usual divergence attribution
 //! instead of queueing behind everyone else.
 
-use datagroups::CheckOptions;
-use oolong_engine::{diagnosis_to_json, label_to_json, stats_to_json, BatchReport, Json};
+use datagroups::{CheckOptions, Verdict};
+use oolong_diagnose::Diagnosis;
+use oolong_engine::{
+    diagnosis_to_json, label_to_json, render_stats, BatchReport, Event, Json, JsonWriter,
+};
+use oolong_prover::Stats;
 
 /// One parsed client request.
 #[derive(Debug, Clone)]
@@ -281,79 +285,145 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     Ok(Request { id, command })
 }
 
-/// One implementation's members in `check --json` shape — the exact
-/// member set and order the CLI emits, so the golden schemas pin both
-/// surfaces at once.
-fn impl_json(o: &oolong_engine::ObligationReport) -> Json {
-    let mut members = vec![
-        ("proc".to_string(), Json::Str(o.proc_name.clone())),
-        (
-            "verdict".to_string(),
-            Json::Str(o.verdict.label().to_string()),
-        ),
-    ];
-    if let Some(stats) = o.verdict.stats() {
-        members.push(("stats".to_string(), stats_to_json(stats)));
+/// The full stats objects of one report's obligations, each rendered at
+/// most once: a `check` response carries every obligation's full stats
+/// twice — in its `result` entry and in its `prover_profile` event — and
+/// splices the same text into both places. Indexed by obligation sequence
+/// number, so one value serves one report.
+#[derive(Debug, Default)]
+pub struct RenderedStats(Vec<Option<String>>);
+
+impl RenderedStats {
+    /// Renders the stats of every obligation of `report` up front.
+    fn for_report(report: &BatchReport) -> RenderedStats {
+        RenderedStats(
+            report
+                .obligations
+                .iter()
+                .map(|o| o.verdict.stats().map(render_stats))
+                .collect(),
+        )
     }
-    if let Some(divergence) = o.verdict.divergence() {
-        members.push((
-            "divergence".to_string(),
-            Json::Object(vec![
-                (
-                    "reason".to_string(),
-                    Json::Str(divergence.reason.as_str().to_string()),
-                ),
-                (
-                    "culprits".to_string(),
-                    Json::Array(
-                        divergence
-                            .culprits
-                            .iter()
-                            .map(|c| Json::Str(c.to_string()))
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ));
-    }
-    if let Some(branch) = o.verdict.open_branch() {
-        members.push((
-            "open_branch".to_string(),
-            Json::Array(branch.iter().map(|l| Json::Str(l.clone())).collect()),
-        ));
-    }
-    if let Some(refutation) = o.verdict.refutation() {
-        if let Some(primary) = &refutation.primary {
-            members.push((
-                "obligation_kind".to_string(),
-                Json::Str(primary.kind.as_str().to_string()),
-            ));
-            members.push(("label_id".to_string(), Json::Int(primary.id as i64)));
-            members.push(("label".to_string(), label_to_json(primary)));
+
+    /// The rendered full stats of obligation `seq`, rendering `stats` on
+    /// first use.
+    fn get(&mut self, seq: usize, stats: &Stats) -> &str {
+        if self.0.len() <= seq {
+            self.0.resize(seq + 1, None);
         }
+        self.0[seq].get_or_insert_with(|| render_stats(stats))
     }
-    if let Some(diagnosis) = &o.diagnosis {
-        members.push(("diagnosis".to_string(), diagnosis_to_json(diagnosis)));
+
+    /// Bytes rendered so far.
+    fn len(&self) -> usize {
+        self.0.iter().flatten().map(String::len).sum()
     }
-    Json::Object(members)
 }
 
-/// The `result` of a `check` response: `check --json` shape (`impls` +
-/// `summary`) built from the engine report of a single-unit batch.
-pub fn check_result_json(report: &BatchReport) -> Json {
-    let impls = report.obligations.iter().map(impl_json).collect();
-    let (v, r, u) = report.tally();
-    Json::Object(vec![
-        ("impls".to_string(), Json::Array(impls)),
-        (
-            "summary".to_string(),
-            Json::Object(vec![
-                ("verified".to_string(), Json::Int(v as i64)),
-                ("rejected".to_string(), Json::Int(r as i64)),
-                ("unknown".to_string(), Json::Int(u as i64)),
-            ]),
-        ),
-    ])
+/// Writes one implementation's members in `check --json` shape. `oolong
+/// check --json` and the daemon's `check` response both write through
+/// this, so the golden schemas pin both surfaces at once. `seq` keys the
+/// implementation's stats in `rendered`.
+pub fn write_check_impl(
+    w: &mut JsonWriter,
+    seq: usize,
+    proc_name: &str,
+    verdict: &Verdict,
+    diagnosis: Option<&Diagnosis>,
+    rendered: &mut RenderedStats,
+) {
+    w.begin_object()
+        .key("proc")
+        .str(proc_name)
+        .key("verdict")
+        .str(verdict.label());
+    if let Some(stats) = verdict.stats() {
+        w.key("stats").raw(rendered.get(seq, stats));
+    }
+    if let Some(divergence) = verdict.divergence() {
+        w.key("divergence")
+            .begin_object()
+            .key("reason")
+            .str(divergence.reason.as_str())
+            .key("culprits")
+            .begin_array();
+        for culprit in &divergence.culprits {
+            w.str(&culprit.to_string());
+        }
+        w.end_array().end_object();
+    }
+    if let Some(branch) = verdict.open_branch() {
+        w.key("open_branch").begin_array();
+        for line in branch {
+            w.str(line);
+        }
+        w.end_array();
+    }
+    if let Some(primary) = verdict.refutation().and_then(|r| r.primary.as_ref()) {
+        w.key("obligation_kind")
+            .str(primary.kind.as_str())
+            .key("label_id")
+            .int(i64::from(primary.id))
+            .key("label")
+            .value(&label_to_json(primary));
+    }
+    if let Some(diagnosis) = diagnosis {
+        w.key("diagnosis").value(&diagnosis_to_json(diagnosis));
+    }
+    w.end_object();
+}
+
+/// Writes the `check --json` summary member.
+pub fn write_check_summary(
+    w: &mut JsonWriter,
+    (verified, rejected, unknown): (usize, usize, usize),
+) {
+    w.key("summary")
+        .begin_object()
+        .key("verified")
+        .int(verified as i64)
+        .key("rejected")
+        .int(rejected as i64)
+        .key("unknown")
+        .int(unknown as i64)
+        .end_object();
+}
+
+/// A `check` response line: the result in `check --json` shape (`impls` +
+/// `summary`) for the engine report of a single-unit batch, then the
+/// report's events. Each obligation's full stats object is rendered once
+/// for both places it appears.
+pub fn check_response(
+    id: Option<i64>,
+    degraded: bool,
+    millis: f64,
+    report: &BatchReport,
+) -> String {
+    let rendered = RenderedStats::for_report(report);
+    response(
+        id,
+        "check",
+        degraded,
+        millis,
+        Some(&report.events),
+        rendered,
+        |w, rendered| {
+            w.begin_object().key("impls").begin_array();
+            for (seq, o) in report.obligations.iter().enumerate() {
+                write_check_impl(
+                    w,
+                    seq,
+                    &o.proc_name,
+                    &o.verdict,
+                    o.diagnosis.as_ref(),
+                    rendered,
+                );
+            }
+            w.end_array();
+            write_check_summary(w, report.tally());
+            w.end_object();
+        },
+    )
 }
 
 /// The `result` of an `explain` response: `explain --json` shape.
@@ -406,33 +476,77 @@ pub fn ok_response(
     result: Json,
     events: Option<&[oolong_engine::Event]>,
 ) -> String {
-    let mut members = Vec::new();
+    response(
+        id,
+        cmd,
+        degraded,
+        millis,
+        events,
+        RenderedStats::default(),
+        |w, _| {
+            w.value(&result);
+        },
+    )
+}
+
+/// Writes a successful response: the envelope, the result (written by
+/// `result`), and the events, whose `prover_profile` stats come from
+/// `rendered`.
+fn response(
+    id: Option<i64>,
+    cmd: &str,
+    degraded: bool,
+    millis: f64,
+    events: Option<&[oolong_engine::Event]>,
+    mut rendered: RenderedStats,
+    result: impl FnOnce(&mut JsonWriter, &mut RenderedStats),
+) -> String {
+    // Profiles dominate a response and appear twice in a check response;
+    // events and envelope add a few hundred bytes each.
+    let events_len = events.map_or(0, <[_]>::len);
+    let mut w = JsonWriter::with_capacity(2 * rendered.len() + 256 * events_len + 256);
+    w.begin_object();
     if let Some(id) = id {
-        members.push(("id".to_string(), Json::Int(id)));
+        w.key("id").int(id);
     }
-    members.push(("ok".to_string(), Json::Bool(true)));
-    members.push(("cmd".to_string(), Json::Str(cmd.to_string())));
-    members.push(("degraded".to_string(), Json::Bool(degraded)));
-    members.push(("millis".to_string(), Json::Float(millis)));
-    members.push(("result".to_string(), result));
+    w.key("ok")
+        .bool(true)
+        .key("cmd")
+        .str(cmd)
+        .key("degraded")
+        .bool(degraded)
+        .key("millis")
+        .float(millis)
+        .key("result");
+    result(&mut w, &mut rendered);
     if let Some(events) = events {
-        members.push((
-            "events".to_string(),
-            Json::Array(events.iter().map(|e| e.to_json()).collect()),
-        ));
+        w.key("events").begin_array();
+        for event in events {
+            let profile = match event {
+                Event::ProverProfile { seq, stats, .. } => Some(rendered.get(*seq, stats)),
+                _ => None,
+            };
+            event.write_json(&mut w, profile);
+        }
+        w.end_array();
     }
-    Json::Object(members).render()
+    w.end_object();
+    w.finish()
 }
 
 /// An error response line (without trailing newline).
 pub fn error_response(id: Option<i64>, message: &str) -> String {
-    let mut members = Vec::new();
+    let mut w = JsonWriter::new();
+    w.begin_object();
     if let Some(id) = id {
-        members.push(("id".to_string(), Json::Int(id)));
+        w.key("id").int(id);
     }
-    members.push(("ok".to_string(), Json::Bool(false)));
-    members.push(("error".to_string(), Json::Str(message.to_string())));
-    Json::Object(members).render()
+    w.key("ok")
+        .bool(false)
+        .key("error")
+        .str(message)
+        .end_object();
+    w.finish()
 }
 
 #[cfg(test)]

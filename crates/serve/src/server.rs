@@ -32,8 +32,9 @@
 //! against the same store handle, so a warm obligation is served from
 //! memory no matter which session, budget, or engine asks.
 
+use crate::histogram::LatencyHistogram;
 use crate::protocol::{
-    check_result_json, error_response, explain_result_json, ok_response, parse_request, Command,
+    check_response, error_response, explain_result_json, ok_response, parse_request, Command,
     Request, UnitRef,
 };
 use datagroups::CheckOptions;
@@ -99,7 +100,8 @@ impl Default for ServeOptions {
     }
 }
 
-/// Monotonic counters and latency samples behind the `stats` request.
+/// Monotonic counters and the latency histogram behind the `stats`
+/// request.
 #[derive(Debug, Default)]
 struct Metrics {
     received: AtomicU64,
@@ -112,22 +114,13 @@ struct Metrics {
     cache_hits: AtomicU64,
     prover_calls: AtomicU64,
     obligations: AtomicU64,
-    latencies: Mutex<Vec<f64>>,
+    latencies: LatencyHistogram,
 }
 
 const CMD_NAMES: [&str; 6] = ["check", "batch", "explain", "infer", "stats", "shutdown"];
 
 fn cmd_index(name: &str) -> usize {
     CMD_NAMES.iter().position(|&c| c == name).unwrap_or(0)
-}
-
-/// Nearest-rank percentile over an already-sorted sample.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 /// State shared by every server thread.
@@ -257,13 +250,11 @@ impl Shared {
                 if let Some(error) = report.unit_errors.first() {
                     return self.error(request.id, &error.message);
                 }
-                ok_response(
+                check_response(
                     request.id,
-                    "check",
                     degraded,
                     start.elapsed().as_secs_f64() * 1_000.0,
-                    check_result_json(&report),
-                    Some(&report.events),
+                    &report,
                 )
             }
             Command::Batch { units, options } => {
@@ -382,11 +373,7 @@ impl Shared {
             }
         };
         let millis = start.elapsed().as_secs_f64() * 1_000.0;
-        self.metrics
-            .latencies
-            .lock()
-            .expect("latency lock poisoned")
-            .push(millis);
+        self.metrics.latencies.record(millis);
         if degraded {
             self.metrics.degraded.fetch_add(1, Ordering::Relaxed);
         }
@@ -404,11 +391,7 @@ impl Shared {
     /// The `stats` response: load metrics of the running server.
     fn stats_json(&self) -> Json {
         let m = &self.metrics;
-        let latencies = {
-            let mut samples = m.latencies.lock().expect("latency lock poisoned").clone();
-            samples.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-            samples
-        };
+        let latencies = &m.latencies;
         let store = self.store.metrics();
         Json::Object(vec![
             (
@@ -520,14 +503,11 @@ impl Shared {
             (
                 "latency_millis".to_string(),
                 Json::Object(vec![
-                    ("count".to_string(), Json::Int(latencies.len() as i64)),
-                    ("p50".to_string(), Json::Float(percentile(&latencies, 0.50))),
-                    ("p95".to_string(), Json::Float(percentile(&latencies, 0.95))),
-                    ("p99".to_string(), Json::Float(percentile(&latencies, 0.99))),
-                    (
-                        "max".to_string(),
-                        Json::Float(latencies.last().copied().unwrap_or(0.0)),
-                    ),
+                    ("count".to_string(), Json::Int(latencies.count() as i64)),
+                    ("p50".to_string(), Json::Float(latencies.percentile(0.50))),
+                    ("p95".to_string(), Json::Float(latencies.percentile(0.95))),
+                    ("p99".to_string(), Json::Float(latencies.percentile(0.99))),
+                    ("max".to_string(), Json::Float(latencies.max())),
                 ]),
             ),
         ])
@@ -768,20 +748,5 @@ fn dispatch(shared: &Shared, job_tx: &SyncSender<Job>, request: Request) -> Stri
             shared.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
             shared.serve_proving(&job.request, true)
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::percentile;
-
-    #[test]
-    fn nearest_rank_percentiles() {
-        let sorted: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&sorted, 0.50), 50.0);
-        assert_eq!(percentile(&sorted, 0.95), 95.0);
-        assert_eq!(percentile(&sorted, 0.99), 99.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
-        assert_eq!(percentile(&[7.0], 0.99), 7.0);
     }
 }

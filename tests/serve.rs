@@ -669,3 +669,105 @@ fn errors_are_answered_in_band() {
     handle.join().expect("clean shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `line` with the value of every `"millis":` member replaced by `0`: the
+/// only wall-clock numbers in a response.
+fn normalize_millis(line: &str) -> String {
+    const KEY: &str = "\"millis\":";
+    let mut out = String::with_capacity(line.len());
+    let mut rest = line;
+    while let Some(at) = rest.find(KEY) {
+        let (head, tail) = rest.split_at(at + KEY.len());
+        out.push_str(head);
+        out.push('0');
+        let end = tail
+            .find(|c: char| !matches!(c, '0'..='9' | '.' | 'e' | 'E' | '+' | '-'))
+            .unwrap_or(tail.len());
+        rest = &tail[end..];
+    }
+    out.push_str(rest);
+    out
+}
+
+/// The daemon's response bytes are pinned: a cold check, a warm check and
+/// an explain, on a fresh in-memory server, answer exactly the lines under
+/// `tests/golden/serve_*.response.json` (wall-clock `millis` values
+/// normalized to `0`).
+#[test]
+fn responses_match_recorded_wire_bytes() {
+    let dir = scratch("wire");
+    let handle = spawn_server(&dir, ServeOptions::default());
+    let mut client = Client::connect(handle.socket()).expect("connects");
+    let script = [
+        (
+            Some("serve_check_array_table_cold"),
+            r#"{"id":1,"cmd":"check","unit":"corpus:array_table"}"#,
+        ),
+        (
+            None,
+            r#"{"id":2,"cmd":"check","unit":"corpus:stack_module"}"#,
+        ),
+        (
+            Some("serve_check_stack_module_warm"),
+            r#"{"id":3,"cmd":"check","unit":"corpus:stack_module"}"#,
+        ),
+        (
+            Some("serve_explain_section31_bad_call"),
+            r#"{"id":4,"cmd":"explain","unit":"corpus:section31_bad_call"}"#,
+        ),
+    ];
+    for (golden, request) in script {
+        let line = client.request_raw(request).expect("answered");
+        let Some(golden) = golden else {
+            continue;
+        };
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(format!("{golden}.response.json"));
+        let want = std::fs::read_to_string(&path).expect("golden response exists");
+        let got = format!("{}\n", normalize_millis(&line));
+        if got != want {
+            let at = got
+                .bytes()
+                .zip(want.bytes())
+                .position(|(a, b)| a != b)
+                .unwrap_or(got.len().min(want.len()));
+            panic!(
+                "{golden}: response differs from {} at byte {at}:\n got …{}\nwant …{}",
+                path.display(),
+                &got[at.saturating_sub(80)..(at + 80).min(got.len())],
+                &want[at.saturating_sub(80)..(at + 80).min(want.len())],
+            );
+        }
+    }
+    client.request(r#"{"cmd":"shutdown"}"#).expect("shutdown");
+    handle.join().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A request line nested 200,000 levels deep is answered with an error
+/// instead of overflowing the session thread's stack (which aborted the
+/// whole daemon), and the daemon goes on serving new connections.
+#[test]
+fn deeply_nested_request_is_an_error_not_a_crash() {
+    let dir = scratch("nested");
+    let handle = spawn_server(&dir, ServeOptions::default());
+    let mut client = Client::connect(handle.socket()).expect("connects");
+    let line = "[".repeat(200_000);
+    let response = client.request(&line).expect("answered");
+    assert!(!response_ok(&response), "{response:?}");
+    let error = response
+        .get("error")
+        .and_then(Json::as_str)
+        .expect("error message");
+    assert!(error.contains("nesting deeper than"), "{error}");
+
+    // Shutdown waits for every open session, so close this one first.
+    drop(client);
+    let mut fresh = Client::connect(handle.socket()).expect("daemon still accepts");
+    let stats = fresh.request(r#"{"cmd":"stats"}"#).expect("stats");
+    assert!(response_ok(&stats));
+    fresh.request(r#"{"cmd":"shutdown"}"#).expect("shutdown");
+    handle.join().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
